@@ -25,6 +25,7 @@ from .posterior import (
     PosteriorEstimate,
     QuadratureSettings,
     estimate,
+    estimate_many,
     integrate_Ih,
     joint_posterior_pdf,
     log_integrand,

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InputValidationError
 from .weibull import ReliableLifeWeibull
@@ -28,13 +27,28 @@ __all__ = [
     "CensoredSample",
     "SampleStats",
     "type2_censor",
+    "type2_log_times",
     "s_of_beta",
     "log_likelihood",
     "load_sample_csv",
+    "logsumexp",
 ]
 
 FAILED = "failed"
 CENSORED = "censored"
+
+
+def logsumexp(a, axis=-1):
+    """ln(sum(exp(a))) along a nonempty axis, with the maximum factored out.
+
+    A slice whose maximum is not finite is summed unshifted, so all -inf
+    gives -inf and any +inf gives +inf.
+    """
+    a = np.asarray(a, dtype=float)
+    peak = a.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -135,6 +149,16 @@ def type2_censor(times: Sequence[float], r: int) -> CensoredSample:
         times=tuple(ordered[:r]) + (cutoff,) * (n - r),
         status=(FAILED,) * r + (CENSORED,) * (n - r),
     )
+
+
+def type2_log_times(sorted_times, r: int) -> np.ndarray:
+    """ln times of rows of sorted complete samples, each censored at its r-th
+    order statistic: the row-wise counterpart of :func:`type2_censor`."""
+    lx = np.log(sorted_times)
+    n = lx.shape[1]
+    if r == n:
+        return lx
+    return np.concatenate([lx[:, :r], np.repeat(lx[:, r - 1 : r], n - r, axis=1)], axis=1)
 
 
 def s_of_beta(sample: CensoredSample, beta: float) -> float:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: estimate, mle, prior-pdf, simulate, calibrate-b.  Exit codes
-separate user errors (2), elicitation-constraint violations and degenerate
-samples (3), and numerical non-convergence (4), because constraint
-diagnostics are user-facing: they tell the analyst to pick a smaller weight.
+separate user errors (2, including files that cannot be opened),
+elicitation-constraint violations and degenerate samples (3), and numerical
+non-convergence (4), because constraint diagnostics are user-facing: they
+tell the analyst to pick a smaller weight.
 Randomized subcommands require an explicit seed; there is no wall-clock
 default.
 """
@@ -217,6 +218,10 @@ def main(argv=None) -> int:
         return EXIT_CONSTRAINT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # a named input or output file that cannot be opened
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename and exc.strerror else exc
+        print(f"error: {detail}", file=sys.stderr)
         return EXIT_INPUT
 
 

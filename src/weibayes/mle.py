@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample
+from .censoring import CensoredSample, type2_log_times
 from .errors import NoFiniteMleError
 
 __all__ = [
@@ -140,15 +140,6 @@ def _fit_shape_many(log_times: np.ndarray, mean_log_fail: np.ndarray):
     return beta, g, iterations, has_root
 
 
-def _expanded_log_times(sorted_times: np.ndarray, r: int) -> np.ndarray:
-    """Per-row ln times of the type-II censored view of sorted complete rows."""
-    lx = np.log(sorted_times)
-    n = lx.shape[1]
-    if r == n:
-        return lx
-    return np.concatenate([lx[:, :r], np.repeat(lx[:, r - 1 : r], n - r, axis=1)], axis=1)
-
-
 def _validate_admissible(sample: CensoredSample) -> None:
     fails = sample.failure_times
     if len(fails) < 2:
@@ -187,11 +178,18 @@ def fit(sample: CensoredSample, R: float) -> MleResult:
     beta_hat = float(beta[0])
     st = sample.stats
     log_alpha = (st.log_pow_sum(beta_hat) - math.log(st.r)) / beta_hat
-    K = math.log(1.0 / R)
+    log_x_R = log_alpha + math.log(math.log(1.0 / R)) / beta_hat
+    try:
+        alpha_hat, x_R_hat = math.exp(log_alpha), math.exp(log_x_R)
+    except OverflowError:
+        raise NoFiniteMleError(
+            f"no finite maximum-likelihood estimate: at beta_hat = {beta_hat:.6g} the scale "
+            f"estimate exp({max(log_alpha, log_x_R):.6g}) exceeds the double range"
+        ) from None
     return MleResult(
-        alpha_hat=math.exp(log_alpha),
+        alpha_hat=alpha_hat,
         beta_hat=beta_hat,
-        x_R_hat=math.exp(log_alpha + math.log(K) / beta_hat),
+        x_R_hat=x_R_hat,
         iterations=iterations,
         converged=bool(abs(g[0]) <= G_TOL),
     )
@@ -201,14 +199,15 @@ def fit_many(sorted_times: np.ndarray, r: int, R: float):
     """Vectorized fit on rows of sorted complete samples censored at r.
 
     Returns (beta_hat, x_R_hat, ok) where ok marks rows with a finite,
-    converged estimate.  Used by the calibration and the simulation harness;
-    row i is computed exactly as ``fit`` would compute it alone.
+    converged estimate; a row whose x_R_hat overflows is not ok.  Used by the
+    calibration and the simulation harness; row i is computed exactly as
+    ``fit`` would compute it alone.
     """
     sorted_times = np.asarray(sorted_times, dtype=float)
     n = sorted_times.shape[1]
     if not 2 <= r <= n:
         raise ValueError(f"need 2 <= r <= n = {n}, got r = {r}")
-    log_times = _expanded_log_times(sorted_times, r)
+    log_times = type2_log_times(sorted_times, r)
     mlf = np.log(sorted_times[:, :r]).mean(axis=1)
     spread = sorted_times[:, r - 1] > sorted_times[:, 0]
     beta, g, _, has_root = _fit_shape_many(log_times, mlf)
@@ -220,7 +219,7 @@ def fit_many(sorted_times: np.ndarray, r: int, R: float):
     K = math.log(1.0 / R)
     with np.errstate(over="ignore"):
         x_R_hat = np.exp(log_alpha + math.log(K) / beta)
-    return beta, x_R_hat, ok
+    return beta, x_R_hat, ok & np.isfinite(x_R_hat)
 
 
 def calibrate_B(

@@ -16,9 +16,16 @@ prior mean and prior midpoint (both covered by tests).
 
 Both w and a are functions of beta (the weight rule is evaluated at the
 integration variable), so they are recomputed at every node.  Everything is
-evaluated in log space; each integral is a composite Gauss-Legendre sum with
-the node maximum factored out per panel, refined by panel doubling until two
-successive estimates agree to the requested tolerance.
+evaluated in log space by one kernel, ``_log_integrands``, which takes a
+stack of m samples with the same failure count (ln times of shape (m, n),
+ln P of shape (m,)) and returns the three log integrands at every node for
+every sample.  Each integral is a composite Gauss-Legendre sum taken as a
+log-sum-exp with the node maximum factored out, refined by panel doubling
+until two successive estimates agree to the requested tolerance.  Refinement
+is decided per sample: a sample that has converged leaves the stack, so it
+stops at the same level, with the same node count, as it would alone.
+:func:`estimate` is the one-sample case of :func:`estimate_many`, through
+which the simulation harness passes all replications of a cell at once.
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from .censoring import CensoredSample
+from .censoring import CensoredSample, logsumexp
 from .errors import ElicitationConstraintError, PriorDominanceWarning, QuadratureConvergenceWarning
 from .prior import PriorSpec
 
@@ -41,8 +48,14 @@ __all__ = [
     "log_integrand",
     "integrate_Ih",
     "estimate",
+    "estimate_many",
     "joint_posterior_pdf",
 ]
+
+# Upper bound on the (samples, nodes, items) power-sum array built per kernel
+# call; stacks are split into row blocks under it so that peak memory stays
+# bounded when many samples refine to the finest panel layouts.
+_KERNEL_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -81,11 +94,19 @@ def _gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     return _leggauss_cache[count]
 
 
-def _log_integrands(betas: np.ndarray, spec: PriorSpec, sample: CensoredSample) -> np.ndarray:
-    """Log integrands of I_0, I_1, I_2 at an array of shape values, shape (3, m)."""
-    betas = np.asarray(betas, dtype=float)
+def _sample_rows(sample: CensoredSample) -> tuple[np.ndarray, np.ndarray, int]:
+    """One sample as a one-row stack: (ln times (1, n), ln P (1,), r)."""
     st = sample.stats
-    r = st.r
+    return st.log_times[None, :], np.array([st.log_P]), st.r
+
+
+def _log_a_and_A(
+    betas: np.ndarray, spec: PriorSpec, log_times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w and ln a at the nodes, shape (k,), and ln A per sample, shape (m, k).
+
+    Rejects nodes where the weight rule breaks w > 1/beta.
+    """
     w = np.asarray(spec.w_rule(betas), dtype=float)
     margin = w - 1.0 / betas
     if np.any(margin <= 0.0):
@@ -94,15 +115,30 @@ def _log_integrands(betas: np.ndarray, spec: PriorSpec, sample: CensoredSample) 
             f"weight rule violates w > 1/beta at beta = {bad:.6g} inside the integrand"
         )
     log_a = math.log(spec.xbar_R) + gammaln(w) - gammaln(w - 1.0 / betas)
-    if st.n:
-        log_A = np.logaddexp(betas * log_a, math.log(spec.K) + st.log_pow_sum(betas))
+    prior_part = betas * log_a
+    if log_times.shape[1]:
+        # ln S(beta) per sample; items on the leading axis keep the reduction elementwise
+        log_S = logsumexp(log_times.T[:, :, None] * betas, axis=0)
+        log_A = np.logaddexp(prior_part, math.log(spec.K) + log_S)
     else:
-        log_A = betas * log_a
+        log_A = np.broadcast_to(prior_part, (log_times.shape[0], betas.size))
+    return w, log_a, log_A
+
+
+def _log_integrands(
+    betas: np.ndarray, spec: PriorSpec, log_times: np.ndarray, log_P: np.ndarray, r: int
+) -> np.ndarray:
+    """Log integrands of I_0, I_1, I_2, shape (3, m, k).
+
+    ``betas`` holds k shape nodes; ``log_times`` (m, n) and ``log_P`` (m,)
+    describe m samples that all have r failures.
+    """
+    w, log_a, log_A = _log_a_and_A(betas, spec, log_times)
     log_beta = np.log(betas)
     c0 = w + r
     c1 = c0 - 1.0 / betas  # positive because w > 1/beta
-    base = r * log_beta + betas * w * log_a + betas * st.log_P - gammaln(w)
-    out = np.empty((3, betas.size), dtype=float)
+    base = (r * log_beta + betas * w * log_a - gammaln(w)) + log_P[:, None] * betas
+    out = np.empty((3,) + log_A.shape, dtype=float)
     out[0] = base - c0 * log_A + gammaln(c0)
     out[1] = base - c1 * log_A + gammaln(c1)
     out[2] = out[0] + log_beta
@@ -113,46 +149,67 @@ def log_integrand(beta: float, h: int, spec: PriorSpec, sample: CensoredSample) 
     """Log integrand of I_h at a single shape value."""
     if h not in (0, 1, 2):
         raise ValueError(f"h must be 0, 1 or 2, got {h!r}")
-    return float(_log_integrands(np.array([float(beta)]), spec, sample)[h, 0])
+    return float(_log_integrands(np.array([float(beta)]), spec, *_sample_rows(sample))[h, 0, 0])
 
 
 def _composite_log_integrals(
-    spec: PriorSpec, sample: CensoredSample, panels: int, nodes: np.ndarray, weights: np.ndarray
+    spec: PriorSpec,
+    log_times: np.ndarray,
+    log_P: np.ndarray,
+    r: int,
+    panels: int,
+    nodes: np.ndarray,
+    weights: np.ndarray,
 ) -> np.ndarray:
+    """Log composite Gauss-Legendre sums of I_0, I_1, I_2 per sample, shape (3, m)."""
     iv = spec.interval
     edges = np.linspace(iv.beta1, iv.beta2, panels + 1)
     half = 0.5 * (iv.beta2 - iv.beta1) / panels
     centers = 0.5 * (edges[:-1] + edges[1:])
     betas = (centers[:, None] + half * nodes[None, :]).ravel()
-    logf = _log_integrands(betas, spec, sample).reshape(3, panels, nodes.size)
-    # per-panel log-sum-exp (max factored out), then combine panels the same way
-    per_panel = logsumexp(logf + np.log(weights * half)[None, None, :], axis=2)
-    return logsumexp(per_panel, axis=1)
+    log_w = np.tile(np.log(weights * half), panels)
+    m, n = log_times.shape
+    rows = max(1, _KERNEL_BLOCK // (betas.size * max(n, 1)))
+    out = np.empty((3, m), dtype=float)
+    for start in range(0, m, rows):
+        block = slice(start, start + rows)
+        logf = _log_integrands(betas, spec, log_times[block], log_P[block], r)
+        out[:, block] = logsumexp(logf + log_w, axis=-1)
+    return out
 
 
 def _integrate_all(
-    spec: PriorSpec, sample: CensoredSample, settings: QuadratureSettings
-) -> tuple[np.ndarray, int, bool]:
+    spec: PriorSpec, log_times: np.ndarray, log_P: np.ndarray, r: int, settings: QuadratureSettings
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log integrals (3, m), node counts (m,) and convergence flags (m,).
+
+    Every sample refines until two successive panel layouts agree to
+    ``rel_tol``; converged samples leave the active set.
+    """
     nodes, weights = _gauss_nodes(settings.nodes_per_panel)
     panels = settings.panels
-    current = _composite_log_integrals(spec, sample, panels, nodes, weights)
-    node_count = panels * settings.nodes_per_panel
-    converged = False
+    current = _composite_log_integrals(spec, log_times, log_P, r, panels, nodes, weights)
+    m = log_times.shape[0]
+    node_count = np.full(m, panels * settings.nodes_per_panel)
+    converged = np.zeros(m, dtype=bool)
+    active = np.arange(m)
     for _ in range(settings.max_refinements):
-        panels *= 2
-        refined = _composite_log_integrals(spec, sample, panels, nodes, weights)
-        node_count += panels * settings.nodes_per_panel
-        # log-value differences are relative differences of the integrals
-        if float(np.max(np.abs(refined - current))) < settings.rel_tol:
-            current = refined
-            converged = True
+        if active.size == 0:
             break
-        current = refined
+        panels *= 2
+        refined = _composite_log_integrals(
+            spec, log_times[active], log_P[active], r, panels, nodes, weights
+        )
+        node_count[active] += panels * settings.nodes_per_panel
+        # log-value differences are relative differences of the integrals
+        done = np.max(np.abs(refined - current[:, active]), axis=0) < settings.rel_tol
+        current[:, active] = refined
+        converged[active[done]] = True
+        active = active[~done]
     return current, node_count, converged
 
 
-def _warn_if_prior_dominant(spec: PriorSpec, sample: CensoredSample) -> None:
-    r = sample.r
+def _warn_if_prior_dominant(spec: PriorSpec, r: int) -> None:
     if r == 0:
         return
     iv = spec.interval
@@ -176,15 +233,59 @@ def integrate_Ih(
     if h not in (0, 1, 2):
         raise ValueError(f"h must be 0, 1 or 2, got {h!r}")
     settings = settings or QuadratureSettings()
-    log_I, _, converged = _integrate_all(spec, sample, settings)
-    if not converged:
+    log_I, _, converged = _integrate_all(spec, *_sample_rows(sample), settings)
+    if not converged[0]:
         warnings.warn(
             f"integral I_{h} did not reach rel_tol = {settings.rel_tol:g} within "
             f"{settings.max_refinements} refinements",
             QuadratureConvergenceWarning,
             stacklevel=2,
         )
-    return float(log_I[h])
+    return float(log_I[h, 0])
+
+
+def _estimates(
+    spec: PriorSpec, log_times: np.ndarray, log_P: np.ndarray, r: int, settings: QuadratureSettings
+) -> list[PosteriorEstimate]:
+    log_I, node_count, converged = _integrate_all(spec, log_times, log_P, r, settings)
+    x_R = np.exp(log_I[1] - log_I[0])
+    beta = np.exp(log_I[2] - log_I[0])
+    return [
+        PosteriorEstimate(
+            x_R_tilde=float(x_R[i]),
+            beta_tilde=float(beta[i]),
+            log_I=(float(log_I[0, i]), float(log_I[1, i]), float(log_I[2, i])),
+            node_count=int(node_count[i]),
+            converged=bool(converged[i]),
+        )
+        for i in range(log_times.shape[0])
+    ]
+
+
+def estimate_many(
+    spec: PriorSpec,
+    log_times: np.ndarray,
+    log_P: np.ndarray,
+    r: int,
+    settings: QuadratureSettings | None = None,
+) -> list[PosteriorEstimate]:
+    """Posterior estimates for a stack of samples that all have r failures.
+
+    Row i of ``log_times`` (m, n) holds sample i's ln times (failed and
+    censored) and ``log_P[i]`` the sum of its ln failure times.  With rows
+    sorted ascending, as ``CensoredSample.stats`` keeps them, entry i equals
+    what :func:`estimate` returns for that sample alone.
+    """
+    log_times = np.asarray(log_times, dtype=float)
+    log_P = np.asarray(log_P, dtype=float)
+    if log_times.ndim != 2 or log_P.shape != log_times.shape[:1]:
+        raise ValueError(
+            f"need log_times of shape (m, n) and log_P of shape (m,), got "
+            f"{log_times.shape} and {log_P.shape}"
+        )
+    settings = settings or QuadratureSettings()
+    _warn_if_prior_dominant(spec, r)
+    return _estimates(spec, log_times, log_P, r, settings)
 
 
 def estimate(
@@ -192,15 +293,8 @@ def estimate(
 ) -> PosteriorEstimate:
     """Posterior means of the reliable life and the shape, with diagnostics."""
     settings = settings or QuadratureSettings()
-    _warn_if_prior_dominant(spec, sample)
-    log_I, node_count, converged = _integrate_all(spec, sample, settings)
-    return PosteriorEstimate(
-        x_R_tilde=float(np.exp(log_I[1] - log_I[0])),
-        beta_tilde=float(np.exp(log_I[2] - log_I[0])),
-        log_I=(float(log_I[0]), float(log_I[1]), float(log_I[2])),
-        node_count=node_count,
-        converged=converged,
-    )
+    _warn_if_prior_dominant(spec, sample.r)
+    return _estimates(spec, *_sample_rows(sample), settings)[0]
 
 
 def joint_posterior_pdf(
@@ -223,31 +317,24 @@ def joint_posterior_pdf(
     out = np.zeros(b.shape, dtype=float)
     if np.any(inside):
         bi = b[inside]
-        xi = x[inside]
-        st = sample.stats
-        r = st.r
-        w = np.asarray(spec.w_rule(bi), dtype=float)
-        log_a = math.log(spec.xbar_R) + gammaln(w) - gammaln(w - 1.0 / bi)
-        if st.n:
-            log_A = np.logaddexp(bi * log_a, math.log(spec.K) + st.log_pow_sum(bi))
-        else:
-            log_A = bi * log_a
-        log_x = np.log(xi)
+        log_times, log_P, r = _sample_rows(sample)
+        w, log_a, log_A = _log_a_and_A(bi, spec, log_times)
+        log_x = np.log(x[inside])
         with np.errstate(over="ignore"):
             log_num = (
                 (r + 1.0) * np.log(bi)
                 + bi * w * log_a
                 - ((r + w) * bi + 1.0) * log_x
-                + bi * st.log_P
-                - np.exp(log_A - bi * log_x)
+                + bi * log_P[0]
+                - np.exp(log_A[0] - bi * log_x)
                 - gammaln(w)
             )
-        log_I0, _, converged = _integrate_all(spec, sample, settings)
-        if not converged:
+        log_I, _, converged = _integrate_all(spec, log_times, log_P, r, settings)
+        if not converged[0]:
             warnings.warn(
                 "posterior normalization did not converge to the requested tolerance",
                 QuadratureConvergenceWarning,
                 stacklevel=2,
             )
-        out[inside] = np.exp(log_num - log_I0[0])
+        out[inside] = np.exp(log_num - log_I[0, 0])
     return float(out[()]) if scalar else out

@@ -11,13 +11,29 @@ from weibayes.censoring import (
     CensoredSample,
     load_sample_csv,
     log_likelihood,
+    logsumexp,
     s_of_beta,
     type2_censor,
+    type2_log_times,
 )
 from weibayes.errors import InputValidationError
 from weibayes.weibull import ReliableLifeWeibull, density, reliability, sample
 
 K98 = math.log(1.0 / 0.98)
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self):
+        from scipy.special import logsumexp as reference
+
+        a = np.random.default_rng(8).normal(0.0, 300.0, (4, 7))
+        for axis in (0, 1, -1):
+            np.testing.assert_allclose(logsumexp(a, axis=axis), reference(a, axis=axis), rtol=1e-14)
+
+    def test_non_finite_slices(self):
+        a = np.array([[-np.inf, -np.inf], [np.inf, 0.0], [1e308, 1e308]])
+        out = logsumexp(a, axis=1)
+        assert out[0] == -np.inf and out[1] == np.inf and out[2] == 1e308
 
 
 class TestType2Censor:
@@ -26,6 +42,13 @@ class TestType2Censor:
         assert s.times == (1.0, 2.0, 3.0)
         assert s.status == (FAILED,) * 3
         assert (s.n, s.r) == (3, 3)
+
+    def test_row_wise_log_times_match_single_samples(self):
+        rows = np.sort(np.random.default_rng(4).exponential(size=(6, 5)), axis=1)
+        for r in (2, 3, 5):
+            stacked = type2_log_times(rows, r)
+            for row, got in zip(rows, stacked):
+                assert np.array_equal(got, type2_censor(row.tolist(), r).stats.log_times)
 
     def test_censors_at_rth_order_statistic(self):
         s = type2_censor([5.0, 1.0, 4.0, 2.0, 3.0], 3)

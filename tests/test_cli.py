@@ -62,6 +62,20 @@ class TestEstimateCommand:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--sample", "--prior"])
+    def test_missing_file_exits_2(self, capsys, tmp_path, sample_path, prior_path, flag):
+        paths = {"--sample": sample_path, "--prior": prior_path, flag: str(tmp_path / "absent")}
+        rc = cli.main(["estimate", "--sample", paths["--sample"], "--prior", paths["--prior"]])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'absent'}: ")
+
+    @pytest.mark.parametrize("flag", ["--sample", "--prior"])
+    def test_directory_as_file_exits_2(self, capsys, tmp_path, sample_path, prior_path, flag):
+        paths = {"--sample": sample_path, "--prior": prior_path, flag: str(tmp_path)}
+        rc = cli.main(["estimate", "--sample", paths["--sample"], "--prior", paths["--prior"]])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_constraint_violation_exits_3(self, capsys, tmp_path, sample_path):
         bad_prior = tmp_path / "bad_prior.json"
         bad_prior.write_text(
@@ -103,6 +117,21 @@ class TestMleCommand:
         rc = cli.main(["mle", "--sample", str(path)])
         assert rc == 3
         assert "no finite maximum-likelihood" in capsys.readouterr().err
+
+    def test_missing_sample_exits_2(self, capsys, tmp_path):
+        rc = cli.main(["mle", "--sample", str(tmp_path / "absent.csv")])
+        assert rc == 2
+        assert "No such file" in capsys.readouterr().err
+
+    def test_scale_overflow_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "extreme.csv"
+        rows = ["1e-200,failed", "9.5e-167,failed"] + [
+            f"{t},censored" for t in ("1.6e90", "3e120", "1e150", "2.0e199")
+        ]
+        path.write_text("time,status\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        rc = cli.main(["mle", "--sample", str(path)])
+        assert rc == 3
+        assert "exceeds the double range" in capsys.readouterr().err
 
     def test_reliability_from_prior_file(self, capsys, sample_path, tmp_path):
         prior = tmp_path / "prior.json"

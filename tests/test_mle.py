@@ -139,6 +139,23 @@ class TestFit:
         with pytest.raises(NoFiniteMleError):
             fit(type2_censor([1.0, 2.0, 3.0], 1), 0.98)
 
+    def test_scale_beyond_double_range_is_no_finite_mle(self):
+        # two tiny failures below items censored near 1e200: beta_hat ~ 1.5e-3
+        # puts ln(alpha_hat) near 878, past the largest double
+        s = CensoredSample(
+            (1e-200, 9.5e-167, 1.6e90, 3e120, 1e150, 2.0e199),
+            ("failed", "failed", "censored", "censored", "censored", "censored"),
+        )
+        with pytest.raises(NoFiniteMleError, match="exceeds the double range"):
+            fit(s, 0.98)
+
+    def test_fit_many_marks_overflowing_scale_not_ok(self):
+        rows = np.array([[1e-300, 1.0] + [2.0] * 38, [0.5, 1.0] + [2.0] * 38])
+        beta_hat, x_R_hat, ok = fit_many(rows, 2, 0.1)
+        assert np.isfinite(beta_hat).all()
+        assert not np.isfinite(x_R_hat[0]) and not ok[0]
+        assert np.isfinite(x_R_hat[1]) and ok[1]
+
     def test_fit_many_matches_scalar_fit(self):
         rng = np.random.default_rng(71)
         model = ReliableLifeWeibull(1.0, 1.3, 0.98)

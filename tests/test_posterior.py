@@ -16,6 +16,7 @@ from weibayes.posterior import (
     PosteriorEstimate,
     QuadratureSettings,
     estimate,
+    estimate_many,
     integrate_Ih,
     joint_posterior_pdf,
     log_integrand,
@@ -118,9 +119,10 @@ class TestEstimate:
         for xbar in (0.1, 1.0, 10.0):
             for iv in (BetaInterval(1.0, 3.0), BetaInterval(0.3, 0.9)):
                 spec = PriorSpec(iv, xbar, 0.98, WRule.const_over_beta(1.1))
-                est = estimate(spec, EMPTY)
-                assert abs(est.x_R_tilde / xbar - 1.0) < 1e-6
-                assert abs(est.beta_tilde / iv.midpoint - 1.0) < 1e-6
+                stacked = estimate_many(spec, np.empty((2, 0)), np.zeros(2), 0)
+                for est in [estimate(spec, EMPTY)] + stacked:
+                    assert abs(est.x_R_tilde / xbar - 1.0) < 1e-6
+                    assert abs(est.beta_tilde / iv.midpoint - 1.0) < 1e-6
 
     def test_scale_equivariance(self):
         c = 7.3
@@ -151,6 +153,7 @@ class TestEstimate:
     def test_golden_regression_values(self):
         est = estimate(case_i_spec(), golden_sample())
         assert est.converged
+        assert est.node_count == 480  # 160 + 320: converged at the first doubling
         assert math.isclose(est.x_R_tilde, 0.8101558227310036, rel_tol=1e-9)
         assert math.isclose(est.beta_tilde, 1.9528793609628472, rel_tol=1e-9)
 
@@ -194,8 +197,8 @@ class TestEstimate:
         baseline = estimate(spec, s)
         original = posterior_module._log_integrands
 
-        def shifted(betas, sp, sm):
-            return original(betas, sp, sm) + 137.25
+        def shifted(*args):
+            return original(*args) + 137.25
 
         monkeypatch.setattr(posterior_module, "_log_integrands", shifted)
         bumped = estimate(spec, s)
@@ -229,6 +232,64 @@ class TestEstimate:
         result = mannwhitneyu(errors[30], errors[3], alternative="less")
         assert result.pvalue < 0.01
         assert np.median(errors[30]) < np.median(errors[3])
+
+
+def censored_stack(count, seed=11, n=5, r=3, beta=2.0):
+    model = ReliableLifeWeibull(1.0, beta, 0.98)
+    rng = np.random.default_rng(seed)
+    return [type2_censor(sample(model, n, rng).tolist(), r) for _ in range(count)]
+
+
+def stack_rows(samples):
+    log_times = np.vstack([s.stats.log_times for s in samples])
+    return log_times, np.array([s.stats.log_P for s in samples]), samples[0].r
+
+
+class TestEstimateMany:
+    # few coarse panels and a loose tolerance: rows converge after one, two or
+    # three doublings, or not at all
+    MIXED = QuadratureSettings(panels=1, nodes_per_panel=3, max_refinements=3, rel_tol=1e-4)
+
+    def assert_rows_match_single_estimates(self, spec, samples, settings):
+        stacked = estimate_many(spec, *stack_rows(samples), settings)
+        for s, row in zip(samples, stacked):
+            single = estimate(spec, s, settings)
+            assert (row.node_count, row.converged) == (single.node_count, single.converged)
+            assert math.isclose(row.x_R_tilde, single.x_R_tilde, rel_tol=1e-12)
+            assert math.isclose(row.beta_tilde, single.beta_tilde, rel_tol=1e-12)
+        return stacked
+
+    def test_rows_stop_at_their_own_level(self):
+        spec = case_i_spec()
+        samples = censored_stack(40, seed=7, n=3, r=3)
+        stacked = self.assert_rows_match_single_estimates(spec, samples, self.MIXED)
+        outcomes = {(e.node_count, e.converged) for e in stacked}
+        assert {(21, True), (45, True), (45, False)} <= outcomes
+
+    def test_default_settings_on_censored_stack(self):
+        spec = PriorSpec(BetaInterval(0.7, 1.3), 10.0, 0.98, WRule.const_over_beta(1.4))
+        self.assert_rows_match_single_estimates(spec, censored_stack(30, beta=1.0), None)
+
+    def test_row_blocks_do_not_change_results(self, monkeypatch):
+        spec = case_i_spec()
+        rows = stack_rows(censored_stack(25))
+        whole = estimate_many(spec, *rows, self.MIXED)
+        monkeypatch.setattr(posterior_module, "_KERNEL_BLOCK", 1)  # one row per kernel call
+        assert estimate_many(spec, *rows, self.MIXED) == whole
+
+    def test_rejects_mismatched_stack_shapes(self):
+        spec = case_i_spec()
+        with pytest.raises(ValueError):
+            estimate_many(spec, np.zeros(3), np.zeros(1), 3)
+        with pytest.raises(ValueError):
+            estimate_many(spec, np.zeros((2, 3)), np.zeros(3), 3)
+
+    def test_warns_once_per_stack_when_prior_dominates(self):
+        spec = PriorSpec(BetaInterval(0.3, 0.9), 1.0, 0.98, WRule.fixed(1.0 / 0.3 + 0.1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate_many(spec, *stack_rows(censored_stack(5, beta=0.6)))
+        assert [w.category for w in caught] == [PriorDominanceWarning]
 
 
 class TestJointPosteriorPdf:

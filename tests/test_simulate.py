@@ -2,13 +2,16 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from weibayes.errors import InputValidationError
-from weibayes.prior import BetaInterval, WRule
-from weibayes.posterior import QuadratureSettings
+from weibayes.censoring import type2_censor
+from weibayes.errors import InputValidationError, PriorDominanceWarning
+from weibayes.prior import BetaInterval, PriorSpec, WRule
+from weibayes.posterior import QuadratureSettings, estimate
+from weibayes.weibull import ReliableLifeWeibull, sample
 from weibayes.simulate import (
     CASE_LABELS,
     STANDARD_W_LABELS,
@@ -137,6 +140,57 @@ class TestRunCell:
         m_x, m_beta = run_cell(cfg, case, resolve_w_rule("1.4/beta", case.interval), 1)
         assert m_x.count == 4
         assert case.interval.beta1 < m_beta.bias + 1.0 < case.interval.beta2
+
+
+def estimate_loop(cfg, case, rule, rule_index, settings=None):
+    """One estimate per replication on its own substream: the unbatched reference."""
+    spec = PriorSpec(case.interval, case.xbar_R, cfg.R, rule)
+    model = ReliableLifeWeibull(cfg.true_x_R, cfg.true_beta, cfg.R)
+    out = []
+    for i in range(cfg.replications):
+        rng = replication_rng(cfg.seed, CASE_LABELS.index(case.label), rule_index, i)
+        s = type2_censor(sample(model, cfg.n, rng).tolist(), cfg.r)
+        out.append(estimate(spec, s, settings))
+    return out
+
+
+class TestRunCellMatchesEstimateLoop:
+    @pytest.mark.parametrize(
+        "true_beta,n,label,rule_label,rule_index,settings,outcomes",
+        [
+            (2.0, 3, "I", "1.1/beta", 0, None, set()),
+            (0.6, 5, "VIII", "1/beta1+0.1", 3, None, set()),
+            # coarse settings: replications stop after different numbers of
+            # doublings, and some do not converge at all
+            (2.0, 3, "I", "1.1/beta", 0,
+             QuadratureSettings(panels=1, nodes_per_panel=3, max_refinements=3, rel_tol=1e-4),
+             {(21, True), (45, True), (45, False)}),
+            (2.0, 5, "IV", "1.1/beta", 0,
+             QuadratureSettings(panels=1, nodes_per_panel=2, max_refinements=3, rel_tol=1e-3),
+             {(6, True), (14, True), (30, True), (30, False)}),
+        ],
+    )
+    def test_same_metrics_and_failures(
+        self, true_beta, n, label, rule_label, rule_index, settings, outcomes
+    ):
+        cfg = ExperimentConfig(true_beta=true_beta, n=n, r=3, seed=17, replications=60)
+        case = build_case(label, true_beta)
+        rule = resolve_w_rule(rule_label, case.interval)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PriorDominanceWarning)
+            reference = estimate_loop(cfg, case, rule, rule_index, settings)
+            m_x, m_beta = run_cell(cfg, case, rule, rule_index, settings)
+        assert outcomes <= {(e.node_count, e.converged) for e in reference}
+        kept = [e for e in reference if e.converged]
+        assert m_x.failures == m_beta.failures == len(reference) - len(kept)
+        for got, values, truth in (
+            (m_x, [e.x_R_tilde for e in kept], 1.0),
+            (m_beta, [e.beta_tilde for e in kept], true_beta),
+        ):
+            want = metrics(values, truth)
+            assert got.count == want.count
+            for field in ("bias", "std_dev", "rmse"):
+                assert math.isclose(getattr(got, field), getattr(want, field), rel_tol=1e-12)
 
 
 class TestRunMleRow:
