@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, type2_log_times
+from .censoring import CensoredSample, logsumexp, type2_log_times
 from .errors import NoFiniteMleError
 
 __all__ = [
@@ -212,9 +212,7 @@ def fit_many(sorted_times: np.ndarray, r: int, R: float):
     spread = sorted_times[:, r - 1] > sorted_times[:, 0]
     beta, g, _, has_root = _fit_shape_many(log_times, mlf)
     ok = spread & has_root & (np.abs(g) <= G_TOL)
-    t = beta[:, None] * log_times
-    m = t.max(axis=1)
-    log_S = m + np.log(np.exp(t - m[:, None]).sum(axis=1))
+    log_S = logsumexp(beta[:, None] * log_times, axis=1)
     log_alpha = (log_S - math.log(r)) / beta
     K = math.log(1.0 / R)
     with np.errstate(over="ignore"):

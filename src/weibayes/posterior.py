@@ -212,11 +212,8 @@ def _integrate_all(
 def _warn_if_prior_dominant(spec: PriorSpec, r: int) -> None:
     if r == 0:
         return
-    iv = spec.interval
-    grid = np.linspace(iv.beta1, iv.beta2, 33)
-    if iv.beta1 < 1.0 < iv.beta2:
-        grid = np.append(grid, 1.0)
-    w_max = float(np.max(spec.w_rule(grid)))
+    # every supported weight rule is nonincreasing in beta, so w peaks at beta1
+    w_max = spec.w_rule(spec.interval.beta1)
     if w_max >= r:
         warnings.warn(
             f"prior weight w reaches {w_max:.3g} >= r = {r} failures; "

@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .censoring import CensoredSample
 from .errors import ElicitationConstraintError, InputValidationError
-from .special import log_gamma
 
 __all__ = [
     "BetaInterval",
@@ -130,19 +130,18 @@ class WRule:
 def _check_rule_admissible(rule: WRule, interval: BetaInterval) -> None:
     """Reject rules with w(beta) <= 1/beta anywhere on the interval.
 
-    The check walks a dense grid plus the interval ends and the kink of the
-    piecewise rule; all supported rules are monotone between those points.
+    For every supported rule the margin w(beta) - 1/beta is <= 0 somewhere
+    on [beta1, beta2] exactly when it is <= 0 at beta1 or at 1 clamped into
+    the interval: const_over_beta has the sign of c - 1 throughout, fixed and
+    unit margins increase with beta, and the piecewise96 margin is positive
+    off beta = 1 and zero there.
     """
-    grid = np.linspace(interval.beta1, interval.beta2, 1025)
-    if interval.beta1 < 1.0 < interval.beta2:
-        grid = np.sort(np.append(grid, 1.0))
-    margin = rule(grid) - 1.0 / grid
-    worst = int(np.argmin(margin))
-    if margin[worst] <= 0.0:
-        b = grid[worst]
+    lo, hi = interval.beta1, interval.beta2
+    b = min((lo, min(max(1.0, lo), hi)), key=lambda beta: rule(beta) - 1.0 / beta)
+    if rule(b) - 1.0 / b <= 0.0:
         raise ElicitationConstraintError(
             f"weight rule violates the constraint w > 1/beta at beta = {b:.6g} "
-            f"(w = {rule(float(b)):.6g}, 1/beta = {1.0 / b:.6g}); deriving the scale "
+            f"(w = {rule(b):.6g}, 1/beta = {1.0 / b:.6g}); deriving the scale "
             "hyperparameter from an anticipated reliable life requires w(beta) > 1/beta "
             "on the whole shape interval"
         )
@@ -201,14 +200,14 @@ def hyper_a(xbar_R: float, w: float, beta: float) -> float:
     """
     if not (xbar_R > 0.0 and math.isfinite(xbar_R)):
         raise ValueError(f"xbar_R must be positive and finite, got {xbar_R!r}")
-    if not (beta > 0.0 and w > 0.0):
-        raise ValueError("w and beta must be positive")
+    if not (beta > 0.0 and 0.0 < w < math.inf):
+        raise ValueError("w must be positive and finite, and beta positive")
     if w <= 1.0 / beta:
         raise ElicitationConstraintError(
             f"the anticipated-reliable-life conversion requires w > 1/beta; "
             f"got w = {w:.6g} <= 1/beta = {1.0 / beta:.6g} at beta = {beta:.6g}"
         )
-    return xbar_R * math.exp(log_gamma(w) - log_gamma(w - 1.0 / beta))
+    return xbar_R * math.exp(gammaln(w) - gammaln(w - 1.0 / beta))
 
 
 def igg_pdf(x_R: float, a: float, w: float, beta: float) -> float:
@@ -219,7 +218,7 @@ def igg_pdf(x_R: float, a: float, w: float, beta: float) -> float:
     log_pdf = (
         math.log(beta)
         + beta * w * math.log(a)
-        - log_gamma(w)
+        - gammaln(w)
         - (beta * w + 1.0) * math.log(x_R)
         - math.exp(-beta * (math.log(x_R) - math.log(a)))
     )

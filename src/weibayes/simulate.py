@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -193,12 +192,6 @@ def metrics(estimates, true_value: float) -> PerformanceMetrics:
     )
 
 
-def _case_index(label: str) -> int:
-    if label in CASE_LABELS:
-        return CASE_LABELS.index(label)
-    return zlib.crc32(label.encode())
-
-
 def replication_rng(seed: int, *path: int) -> np.random.Generator:
     """Substream derived from the run seed and a tuple of counter indices."""
     return np.random.default_rng([int(seed)] + [int(p) for p in path])
@@ -216,11 +209,15 @@ def run_cell(
     Each replication draws n lifetimes from the true model and censors at r;
     all replications are then estimated in one batched quadrature pass.
     Replications whose quadrature fails to converge are excluded and counted
-    in ``failures``.
+    in ``failures``; when none converges, both metrics have count 0 and nan
+    bias, std_dev and rmse.  The case label must be one of CASE_LABELS, whose
+    position indexes the replication substreams.
     """
+    if case.label not in CASE_LABELS:
+        raise ValueError(f"unknown case label {case.label!r}; expected one of {CASE_LABELS}")
     spec = PriorSpec(interval=case.interval, xbar_R=case.xbar_R, R=cfg.R, w_rule=rule)
     model = weibull.ReliableLifeWeibull(x_R=cfg.true_x_R, beta=cfg.true_beta, R=cfg.R)
-    case_index = _case_index(case.label)
+    case_index = CASE_LABELS.index(case.label)
     draws = np.empty((cfg.replications, cfg.n))
     for i in range(cfg.replications):
         rng = replication_rng(cfg.seed, case_index, rule_index, i)
@@ -230,6 +227,9 @@ def run_cell(
     estimates = posterior.estimate_many(spec, log_times, log_P, cfg.r, settings)
     kept = [est for est in estimates if est.converged]
     failures = len(estimates) - len(kept)
+    if not kept:
+        nothing = PerformanceMetrics(math.nan, math.nan, math.nan, count=0, failures=failures)
+        return nothing, nothing
     m_x = replace(metrics([est.x_R_tilde for est in kept], cfg.true_x_R), failures=failures)
     m_beta = replace(metrics([est.beta_tilde for est in kept], cfg.true_beta), failures=failures)
     return m_x, m_beta
@@ -294,27 +294,6 @@ def table_config(table_id, replications: int, seed: int) -> ExperimentConfig:
     )
 
 
-def _bayes_table(cfg: ExperimentConfig, table_id: str, settings) -> TableResult:
-    columns = (
-        ["test"]
-        + [f"rq_xR[w={lbl}]" for lbl in cfg.w_rules]
-        + [f"rq_beta[w={lbl}]" for lbl in cfg.w_rules]
-        + [f"failures[w={lbl}]" for lbl in cfg.w_rules]
-    )
-    rows = []
-    for label in cfg.prior_cases:
-        case = build_case(label, cfg.true_beta, cfg.true_x_R)
-        rq_x, rq_beta, fails = [], [], []
-        for rule_index, rule_label in enumerate(cfg.w_rules):
-            rule = resolve_w_rule(rule_label, case.interval)
-            m_x, m_beta = run_cell(cfg, case, rule, rule_index, settings)
-            rq_x.append(m_x.rmse)
-            rq_beta.append(m_beta.rmse)
-            fails.append(m_x.failures)
-        rows.append(tuple([label] + rq_x + rq_beta + fails))
-    return TableResult(table_id=table_id, kind="bayes", columns=tuple(columns), rows=tuple(rows))
-
-
 def _mle_table(table_id: str, replications: int, seed: int, cache_path=None) -> TableResult:
     true_beta, designs = _MLE_TABLES[table_id]
     columns = ("n", "r", "rq_xR", "rq_beta", "ds_beta_bar", "failures")
@@ -337,8 +316,8 @@ def reproduce_table(
     """Reproduce a benchmark table: Bayes grids 3..8 or MLE ladders 3b..8b."""
     key = str(table_id)
     if key in _BAYES_TABLES:
-        cfg = table_config(key, replications, seed)
-        return _bayes_table(cfg, key, settings)
+        table = run_experiment(table_config(key, replications, seed), settings)
+        return replace(table, table_id=key)
     if key in _MLE_TABLES:
         return _mle_table(key, replications, seed, cache_path)
     raise InputValidationError(f"unknown table id {table_id!r}")
@@ -397,4 +376,21 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def run_experiment(cfg: ExperimentConfig, settings: QuadratureSettings | None = None) -> TableResult:
     """Run a full Bayes grid described by an ExperimentConfig."""
-    return _bayes_table(cfg, table_id="custom", settings=settings)
+    columns = (
+        ["test"]
+        + [f"rq_xR[w={lbl}]" for lbl in cfg.w_rules]
+        + [f"rq_beta[w={lbl}]" for lbl in cfg.w_rules]
+        + [f"failures[w={lbl}]" for lbl in cfg.w_rules]
+    )
+    rows = []
+    for label in cfg.prior_cases:
+        case = build_case(label, cfg.true_beta, cfg.true_x_R)
+        rq_x, rq_beta, fails = [], [], []
+        for rule_index, rule_label in enumerate(cfg.w_rules):
+            rule = resolve_w_rule(rule_label, case.interval)
+            m_x, m_beta = run_cell(cfg, case, rule, rule_index, settings)
+            rq_x.append(m_x.rmse)
+            rq_beta.append(m_beta.rmse)
+            fails.append(m_x.failures)
+        rows.append(tuple([label] + rq_x + rq_beta + fails))
+    return TableResult(table_id="custom", kind="bayes", columns=tuple(columns), rows=tuple(rows))

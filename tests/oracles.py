@@ -117,3 +117,25 @@ def joint_posterior_means_2d(spec, sample, n_beta=600, n_x=3000, x_span=(1e-4, 1
         float(np.trapezoid(mean_x_num, betas) / total),
         float(np.trapezoid(mass_x * betas, betas) / total),
     )
+
+
+def grid_rule_violation(rule, interval):
+    """First shape with the smallest margin w(beta) - 1/beta <= 0, or None.
+
+    Scans 1025 evenly spaced points plus beta = 1 when it lies inside the
+    interval (the kink of the piecewise rule).
+    """
+    grid = np.linspace(interval.beta1, interval.beta2, 1025)
+    if interval.beta1 < 1.0 < interval.beta2:
+        grid = np.sort(np.append(grid, 1.0))
+    margin = rule(grid) - 1.0 / grid
+    worst = int(np.argmin(margin))
+    return float(grid[worst]) if margin[worst] <= 0.0 else None
+
+
+def grid_w_max(rule, interval):
+    """Largest weight on 33 evenly spaced shapes plus beta = 1 when inside."""
+    grid = np.linspace(interval.beta1, interval.beta2, 33)
+    if interval.beta1 < 1.0 < interval.beta2:
+        grid = np.append(grid, 1.0)
+    return float(np.max(rule(grid)))

@@ -181,6 +181,11 @@ class TestPriorPdfCommand:
         )
         assert rc == 2
 
+    def test_infinite_weight_exits_2(self, capsys):
+        rc = cli.main(["prior-pdf", "--xbar-r", "1", "--w", "inf", "--beta", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_requires_exactly_one_scale_source(self, capsys):
         rc = cli.main(["prior-pdf", "--w", "1.5", "--beta", "1.0"])
         assert rc == 2

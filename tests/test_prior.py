@@ -3,14 +3,20 @@ conjugate update, virtual-sample equivalence, and the mean identities."""
 
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import igg_moment_quad
+from oracles import grid_rule_violation, grid_w_max, igg_moment_quad
+from weibayes import posterior
 from weibayes.censoring import CensoredSample, type2_censor
-from weibayes.errors import ElicitationConstraintError, InputValidationError
+from weibayes.errors import (
+    ElicitationConstraintError,
+    InputValidationError,
+    PriorDominanceWarning,
+)
 from weibayes.prior import (
     BetaInterval,
     PriorSpec,
@@ -63,6 +69,27 @@ class TestHyperA:
         # the log-gamma difference must not overflow for tiny w - 1/beta
         a = hyper_a(5.0, 1.0 + 1e-9, 1.0)
         assert 0.0 < a < 1e-6
+
+    def test_matches_mpmath_near_boundary(self):
+        # w - 1/beta from 1e-12 up to 200; powers of two keep 1/beta and the
+        # difference exact, so the float inputs define the reference exactly
+        rng = np.random.default_rng(7)
+        gaps = np.concatenate(
+            [
+                np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.025, 0.05, 0.5, 1.0, 1.5, 2.0, 10.0, 200.0]),
+                np.exp(rng.uniform(math.log(1e-9), math.log(200.0), 500)),
+            ]
+        )
+        for i, gap in enumerate(gaps):
+            beta = (0.25, 0.5, 1.0, 2.0, 4.0)[i % 5]
+            w = 1.0 / beta + float(gap)
+            reference = mp.gamma(mp.mpf(w)) / mp.gamma(mp.mpf(w) - 1 / mp.mpf(beta))
+            assert math.isclose(hyper_a(1.0, w, beta), float(reference), rel_tol=1e-12), (w, beta)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_nonpositive_and_nonfinite_weight(self, bad):
+        with pytest.raises(ValueError):
+            hyper_a(1.0, bad, 1.0)
 
 
 class TestIggPdf:
@@ -132,6 +159,62 @@ class TestWRule:
             WRule.fixed(-1.0)
         with pytest.raises(ValueError):
             WRule(WRule.unit().kind, 3.0)
+
+
+def random_rules_and_intervals(rng, count):
+    """Random (rule, interval) pairs, many with beta = 1 as an end or with a
+    margin within an ulp of zero."""
+    cases = []
+    for _ in range(count):
+        lo, hi = sorted(rng.uniform(0.1, 4.0, 2))
+        edge = rng.integers(3)
+        if edge == 1:
+            lo, hi = 1.0, max(hi, 1.0 + rng.uniform(0.01, 2.0))
+        elif edge == 2:
+            lo, hi = min(lo, rng.uniform(0.1, 0.99)), 1.0
+        interval = BetaInterval(float(lo), float(max(hi, lo + 0.01)))
+        kind = rng.integers(4)
+        if kind == 0:
+            c = [rng.uniform(0.5, 2.0), 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]
+            rule = WRule.const_over_beta(float(rng.choice(c)))
+        elif kind == 1:
+            v = [rng.uniform(0.1, 5.0), 1.0 / lo, np.nextafter(1.0 / lo, 9.0), 1.0 / lo + 0.1]
+            rule = WRule.fixed(float(rng.choice(v)))
+        else:
+            rule = WRule.unit() if kind == 2 else WRule.piecewise96()
+        cases.append((rule, interval))
+    return cases
+
+
+class TestRuleClosedForms:
+    """The two-point admissibility check and the w(beta1) dominance bound
+    against the dense grid scans they replaced."""
+
+    def test_construction_matches_grid_scan(self):
+        rejected = 0
+        for rule, interval in random_rules_and_intervals(np.random.default_rng(11), 4000):
+            if grid_rule_violation(rule, interval) is None:
+                PriorSpec(interval, 1.0, 0.98, rule)
+            else:
+                rejected += 1
+                with pytest.raises(ElicitationConstraintError):
+                    PriorSpec(interval, 1.0, 0.98, rule)
+        assert 1000 < rejected < 3000
+
+    def test_dominance_bound_is_grid_maximum(self):
+        rng = np.random.default_rng(12)
+        for rule, interval in random_rules_and_intervals(rng, 4000):
+            if grid_rule_violation(rule, interval) is not None:
+                continue
+            spec = PriorSpec(interval, 1.0, 0.98, rule)
+            w_max = grid_w_max(rule, interval)
+            assert rule(interval.beta1) == w_max
+            r = int(rng.integers(1, 6))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                posterior._warn_if_prior_dominant(spec, r)
+            assert bool(caught) == (w_max >= r)
+            assert all(w.category is PriorDominanceWarning for w in caught)
 
 
 class TestConditionalPrior:

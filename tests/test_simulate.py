@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from weibayes.simulate import (
     reproduce_table,
     resolve_w_rule,
     run_cell,
+    run_experiment,
     run_mle_row,
 )
 
@@ -133,6 +135,25 @@ class TestRunCell:
         streams = {tuple(replication_rng(1, 0, 0, i).random(2)) for i in range(20)}
         assert len(streams) == 20
         assert replication_rng(1, 0, 0, 3).random() == replication_rng(1, 0, 0, 3).random()
+
+    def test_cell_where_every_replication_fails(self):
+        # table 7, case V, w = 1.4/beta: no replication converges this coarsely
+        settings = QuadratureSettings(panels=1, nodes_per_panel=2, max_refinements=2)
+        cfg = ExperimentConfig(true_beta=1.0, n=5, r=3, seed=17, replications=60)
+        case = build_case("V", 1.0)
+        rule = resolve_w_rule("1.4/beta", case.interval)
+        for m in run_cell(cfg, case, rule, 1, settings):
+            assert m.count == 0 and m.failures == 60
+            assert math.isnan(m.bias) and math.isnan(m.std_dev) and math.isnan(m.rmse)
+        cfg = replace(cfg, prior_cases=("V",), w_rules=("1.1/beta", "1.4/beta"))
+        (row,) = run_experiment(cfg, settings).rows
+        assert row[0] == "V" and math.isnan(row[2]) and math.isnan(row[4]) and row[6] == 60
+
+    def test_rejects_case_label_outside_the_grid(self):
+        cfg = ExperimentConfig(true_beta=2.0, n=3, r=3, seed=9, replications=1)
+        case = CaseDefinition("custom", BetaInterval(1.0, 3.0), 1.0)
+        with pytest.raises(ValueError, match="'custom'"):
+            run_cell(cfg, case, WRule.const_over_beta(1.1))
 
     def test_censored_design_runs(self):
         cfg = ExperimentConfig(true_beta=1.0, n=5, r=3, seed=5, replications=4)
