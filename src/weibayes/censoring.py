@@ -57,7 +57,7 @@ class SampleStats:
 
     ``log_times`` holds ln(time) for every item, sorted ascending so the
     power sums accumulate small terms first; ``log_P`` is the log product of
-    the failure times only.
+    the failure times only, summed as numpy sums a ``type2_log_times`` row.
     """
 
     log_times: np.ndarray
@@ -117,7 +117,7 @@ class CensoredSample:
     @cached_property
     def stats(self) -> SampleStats:
         log_all = np.sort(np.log(np.asarray(self.times, dtype=float))) if self.n else np.empty(0)
-        log_P = float(sum(sorted(math.log(t) for t in self.failure_times)))
+        log_P = float(np.sort(np.log(np.asarray(self.failure_times, dtype=float))).sum())
         return SampleStats(log_times=log_all, log_P=log_P, n=self.n, r=self.r)
 
     @classmethod

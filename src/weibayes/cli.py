@@ -210,13 +210,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ElicitationConstraintError, NoFiniteMleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
-    except ValueError as exc:
+    except (InputValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:  # a named input or output file that cannot be opened

@@ -21,8 +21,8 @@ class ElicitationConstraintError(WeibayesError):
 class NoFiniteMleError(WeibayesError):
     """The profile likelihood has no finite maximizer for this sample.
 
-    Happens for fewer than two failures or when all failure times coincide;
-    the shape estimate then diverges.
+    Happens for fewer than two distinct failure times, a profile score with
+    no sign change on [1e-6, 1e6], or a scale beyond the double range.
     """
 
 

@@ -10,6 +10,14 @@ which is strictly decreasing with a unique root whenever there are at least
 two failures with some spread.  The scale follows as alpha = (S(beta)/r)**(1/beta)
 and the reliable life as x_R = alpha * K**(1/beta).
 
+One core solves rows of (ln x, mean ln x over failures, r): ``fit_many``
+passes type-II rows, ``fit`` one row of any right-censored sample.  The
+bracket [1e-3, 1e2] widens tenfold per step up to [1e-6, 1e6]; a row without
+a sign change there has no finite estimate.  Other rows start at the
+log-moment estimate pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and take Newton steps
+in ln beta, bisecting when a step leaves the sign bracket or shrinks too
+slowly, until the step is at rounding level.
+
 Because the distribution of beta_hat/beta does not depend on the true
 parameters, the multiplicative unbiasing factor B with E[B*beta_hat] = beta
 depends only on (n, r); it is calibrated by Monte Carlo on the unit
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, logsumexp, type2_log_times
+from .censoring import CensoredSample, type2_log_times
 from .errors import NoFiniteMleError
 
 __all__ = [
@@ -44,8 +52,10 @@ __all__ = [
 
 # |g(beta_hat)| below this counts as converged
 G_TOL = 1e-10
-_BISECT_STEPS = 45
-_NEWTON_STEPS = 5
+# cap on score evaluations after the bracket; bisection alone would need ~55
+_MAX_ITERATIONS = 100
+# a Newton step in ln(beta) below this, times max(1, |ln beta|), ends a row's solve
+_STEP_TOL = 4.0 * np.finfo(float).eps
 _BRACKET_LO = 1e-3
 _BRACKET_HI = 1e2
 _BRACKET_LO_MIN = 1e-6
@@ -54,6 +64,9 @@ _BRACKET_HI_MAX = 1e6
 
 @dataclass(frozen=True)
 class MleResult:
+    """An MLE fit.  ``iterations`` counts Newton or bisection score evaluations
+    after the bracket search; ``converged`` means |g(beta_hat)| <= G_TOL."""
+
     alpha_hat: float
     beta_hat: float
     x_R_hat: float
@@ -73,71 +86,79 @@ class UnbiasingEntry:
     seed: int
 
 
-def _score_terms(betas: np.ndarray, log_times: np.ndarray):
-    """Stable power-weighted averages of ln x; betas (N,), log_times (N, n)."""
-    t = betas[:, None] * log_times
-    t -= t.max(axis=1, keepdims=True)
-    e = np.exp(t)
+def _score(betas: np.ndarray, below: np.ndarray, offset: np.ndarray, slope: bool = False):
+    """Profile score at betas (N,) for rows of ln x minus the row maximum (N, n) and
+    ``offset``, their mean ln x over failures minus it; ``slope`` adds dg/d(ln beta)."""
+    e = np.exp(betas[:, None] * below)
     denom = e.sum(axis=1)
-    ratio = (e * log_times).sum(axis=1) / denom
-    ratio2 = (e * log_times * log_times).sum(axis=1) / denom
-    return ratio, ratio2
+    e *= below
+    mean = e.sum(axis=1) / denom
+    g = offset + 1.0 / betas - mean
+    if not slope:
+        return g
+    var = (e * below).sum(axis=1) / denom - mean * mean
+    return g, -1.0 / betas - betas * var
 
 
-def _g_many(betas: np.ndarray, log_times: np.ndarray, mean_log_fail: np.ndarray) -> np.ndarray:
-    ratio, _ = _score_terms(betas, log_times)
-    return mean_log_fail + 1.0 / betas - ratio
-
-
-def _fit_shape_many(log_times: np.ndarray, mean_log_fail: np.ndarray):
-    """Vectorized profile-score root solve.
-
-    Returns (beta_hat, g_at_root, iterations, has_root).  Rows without a sign
-    change after bracket expansion are flagged instead of clamped.
-    """
-    count = log_times.shape[0]
-    lo = np.full(count, _BRACKET_LO)
-    hi = np.full(count, _BRACKET_HI)
-    g_lo = _g_many(lo, log_times, mean_log_fail)
-    g_hi = _g_many(hi, log_times, mean_log_fail)
+def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float):
+    """The MLE core on rows of ln x (N, n) with their mean ln x over r failures (N,):
+    (beta_hat, ln alpha_hat, ln x_R_hat, g(beta_hat), iterations, has_root).  A
+    row without a root reports the bracket end its score points to."""
+    top = log_times.max(axis=1)
+    below = log_times - top[:, None]
+    offset = mean_log_fail - top
+    count = below.shape[0]
+    lo, hi = np.full(count, _BRACKET_LO), np.full(count, _BRACKET_HI)
+    g_lo, g_hi = _score(lo, below, offset), _score(hi, below, offset)
     for _ in range(4):  # 1e2 -> 1e6
         grow = (g_hi >= 0.0) & (hi < _BRACKET_HI_MAX)
         if not grow.any():
             break
         hi[grow] *= 10.0
-        g_hi[grow] = _g_many(hi[grow], log_times[grow], mean_log_fail[grow])
+        g_hi[grow] = _score(hi[grow], below[grow], offset[grow])
     for _ in range(3):  # 1e-3 -> 1e-6
         shrink = (g_lo <= 0.0) & (lo > _BRACKET_LO_MIN)
         if not shrink.any():
             break
         lo[shrink] /= 10.0
-        g_lo[shrink] = _g_many(lo[shrink], log_times[shrink], mean_log_fail[shrink])
+        g_lo[shrink] = _score(lo[shrink], below[shrink], offset[shrink])
     has_root = (g_lo > 0.0) & (g_hi < 0.0)
+    u = np.log(np.where(g_hi >= 0.0, hi, lo))
+    g = np.where(g_hi >= 0.0, g_hi, g_lo)
+    iterations = np.zeros(count, dtype=int)
 
-    # bisection on ln(beta) down to ~1e-13 relative width
-    llo = np.log(lo)
-    lhi = np.log(hi)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (llo + lhi)
-        positive = _g_many(np.exp(mid), log_times, mean_log_fail) > 0.0
-        llo = np.where(positive, mid, llo)
-        lhi = np.where(positive, lhi, mid)
-    beta = np.exp(0.5 * (llo + lhi))
-
-    iterations = _BISECT_STEPS
-    g = _g_many(beta, log_times, mean_log_fail)
-    for _ in range(_NEWTON_STEPS):
-        active = np.abs(g) > 1e-13
-        if not active.any():
+    # Newton in u = ln(beta) from the log-moment estimate, bisecting whenever
+    # a step would leave the sign bracket or shrinks by less than half
+    rows = np.flatnonzero(has_root)
+    x, off = below[rows], offset[rows]
+    u_lo, u_hi = np.log(lo[rows]), np.log(hi[rows])
+    with np.errstate(divide="ignore"):
+        at = np.clip(np.log(np.pi / (np.sqrt(6.0) * x.std(axis=1))), u_lo, u_hi)
+    last_step = u_hi - u_lo
+    for _ in range(_MAX_ITERATIONS):
+        if rows.size == 0:
             break
-        ratio, ratio2 = _score_terms(beta, log_times)
-        g_prime = -1.0 / beta**2 - (ratio2 - ratio * ratio)
-        step = np.where(active, g / g_prime, 0.0)
-        candidate = beta - step
-        beta = np.where(candidate > 0.0, candidate, beta)
-        g = _g_many(beta, log_times, mean_log_fail)
-        iterations += 1
-    return beta, g, iterations, has_root
+        g_at, slope = _score(np.exp(at), x, off, slope=True)
+        u[rows], g[rows] = at, g_at
+        iterations[rows] += 1
+        positive = g_at > 0.0
+        u_lo, u_hi = np.where(positive, at, u_lo), np.where(positive, u_hi, at)
+        step = -g_at / slope
+        tol = _STEP_TOL * np.maximum(1.0, np.abs(at))
+        going = (np.abs(step) > tol) & (u_hi - u_lo > tol)
+        newton = at + step
+        bisect = ~((u_lo < newton) & (newton < u_hi)) | (2.0 * np.abs(step) > np.abs(last_step))
+        nxt = np.where(bisect, 0.5 * (u_lo + u_hi), newton)
+        at, last_step = nxt, nxt - at
+        if not going.all():
+            rows, x, off, at, u_lo, u_hi, last_step = (
+                a[going] for a in (rows, x, off, at, u_lo, u_hi, last_step)
+            )
+    beta = np.exp(u)
+    log_S = beta * top + np.log(np.exp(beta[:, None] * below).sum(axis=1))
+    log_alpha = (log_S - math.log(r)) / beta
+    log_x_R = log_alpha + math.log(math.log(1.0 / R)) / beta
+    return beta, log_alpha, log_x_R, g, iterations, has_root
 
 
 def _validate_admissible(sample: CensoredSample) -> None:
@@ -147,9 +168,7 @@ def _validate_admissible(sample: CensoredSample) -> None:
             f"no finite maximum-likelihood estimate: need at least 2 failures, got {len(fails)}"
         )
     if max(fails) <= min(fails):
-        raise NoFiniteMleError(
-            "no finite maximum-likelihood estimate: all failure times coincide"
-        )
+        raise NoFiniteMleError("no finite maximum-likelihood estimate: all failure times coincide")
 
 
 def profile_equation(beta: float, sample: CensoredSample) -> float:
@@ -157,9 +176,9 @@ def profile_equation(beta: float, sample: CensoredSample) -> float:
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
     _validate_admissible(sample)
-    log_times = np.log(np.asarray(sample.times, dtype=float))[None, :]
-    mlf = np.array([float(np.mean([math.log(t) for t in sample.failure_times]))])
-    return float(_g_many(np.array([beta]), log_times, mlf)[0])
+    st = sample.stats
+    top = st.log_times[-1]
+    return float(_score(np.array([beta]), st.log_times[None, :] - top, st.log_P / st.r - top)[0])
 
 
 def fit(sample: CensoredSample, R: float) -> MleResult:
@@ -167,57 +186,42 @@ def fit(sample: CensoredSample, R: float) -> MleResult:
     if not (0.0 < R < 1.0):
         raise ValueError(f"R must lie strictly inside (0, 1), got {R!r}")
     _validate_admissible(sample)
-    log_times = np.log(np.asarray(sample.times, dtype=float))[None, :]
-    mlf = np.array([float(np.mean([math.log(t) for t in sample.failure_times]))])
-    beta, g, iterations, has_root = _fit_shape_many(log_times, mlf)
-    if not bool(has_root[0]):
+    st = sample.stats
+    beta_hat, log_alpha, log_x_R, g, iterations, has_root = (
+        v[0].item() for v in _fit_rows(st.log_times[None, :], np.array([st.log_P / st.r]), st.r, R)
+    )
+    if not has_root:
         raise NoFiniteMleError(
             "no finite maximum-likelihood estimate: profile score has no sign change "
             f"on [{_BRACKET_LO_MIN:g}, {_BRACKET_HI_MAX:g}]"
         )
-    beta_hat = float(beta[0])
-    st = sample.stats
-    log_alpha = (st.log_pow_sum(beta_hat) - math.log(st.r)) / beta_hat
-    log_x_R = log_alpha + math.log(math.log(1.0 / R)) / beta_hat
-    try:
-        alpha_hat, x_R_hat = math.exp(log_alpha), math.exp(log_x_R)
-    except OverflowError:
+    with np.errstate(over="ignore"):
+        scale = np.exp([log_alpha, log_x_R])
+    if not np.isfinite(scale).all():
         raise NoFiniteMleError(
             f"no finite maximum-likelihood estimate: at beta_hat = {beta_hat:.6g} the scale "
             f"estimate exp({max(log_alpha, log_x_R):.6g}) exceeds the double range"
-        ) from None
-    return MleResult(
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        x_R_hat=x_R_hat,
-        iterations=iterations,
-        converged=bool(abs(g[0]) <= G_TOL),
-    )
+        )
+    alpha_hat, x_R_hat = scale.tolist()
+    return MleResult(alpha_hat, beta_hat, x_R_hat, iterations, abs(g) <= G_TOL)
 
 
 def fit_many(sorted_times: np.ndarray, r: int, R: float):
     """Vectorized fit on rows of sorted complete samples censored at r.
 
-    Returns (beta_hat, x_R_hat, ok) where ok marks rows with a finite,
-    converged estimate; a row whose x_R_hat overflows is not ok.  Used by the
-    calibration and the simulation harness; row i is computed exactly as
-    ``fit`` would compute it alone.
+    Returns (beta_hat, x_R_hat, ok): ok marks rows with a finite, converged
+    estimate, and row i equals ``fit`` on ``type2_censor(sorted_times[i], r)``.
     """
     sorted_times = np.asarray(sorted_times, dtype=float)
     n = sorted_times.shape[1]
     if not 2 <= r <= n:
         raise ValueError(f"need 2 <= r <= n = {n}, got r = {r}")
     log_times = type2_log_times(sorted_times, r)
-    mlf = np.log(sorted_times[:, :r]).mean(axis=1)
     spread = sorted_times[:, r - 1] > sorted_times[:, 0]
-    beta, g, _, has_root = _fit_shape_many(log_times, mlf)
-    ok = spread & has_root & (np.abs(g) <= G_TOL)
-    log_S = logsumexp(beta[:, None] * log_times, axis=1)
-    log_alpha = (log_S - math.log(r)) / beta
-    K = math.log(1.0 / R)
+    beta, _, log_x_R, g, _, has_root = _fit_rows(log_times, log_times[:, :r].sum(axis=1) / r, r, R)
     with np.errstate(over="ignore"):
-        x_R_hat = np.exp(log_alpha + math.log(K) / beta)
-    return beta, x_R_hat, ok & np.isfinite(x_R_hat)
+        x_R_hat = np.exp(log_x_R)
+    return beta, x_R_hat, spread & has_root & (np.abs(g) <= G_TOL) & np.isfinite(x_R_hat)
 
 
 def calibrate_B(
@@ -232,10 +236,8 @@ def calibrate_B(
     keyed by (n, r, replications, seed) is reused if present and appended
     otherwise.
     """
-    if r < 2:
-        raise ValueError("calibration needs r >= 2")
-    if r > n:
-        raise ValueError(f"need r <= n, got r = {r}, n = {n}")
+    if not 2 <= r <= n:
+        raise ValueError(f"calibration needs 2 <= r <= n, got r = {r}, n = {n}")
     if replications < 10**4:
         raise ValueError("calibration needs at least 1e4 replications")
     seed = int(seed)
@@ -254,10 +256,7 @@ def calibrate_B(
         beta_hat = beta_hat[ok]
     mean = float(beta_hat.mean())
     std_error = float(beta_hat.std(ddof=1) / (math.sqrt(beta_hat.size) * mean**2))
-    entry = UnbiasingEntry(
-        n=int(n), r=int(r), B=1.0 / mean, replications=int(replications),
-        std_error=std_error, seed=seed,
-    )
+    entry = UnbiasingEntry(int(n), int(r), 1.0 / mean, int(replications), std_error, seed)
     if cache_path is not None:
         append_calibration_cache(cache_path, entry)
     return entry
@@ -282,12 +281,8 @@ def read_calibration_cache(path) -> dict[tuple[int, int, int, int], UnbiasingEnt
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             entry = UnbiasingEntry(
-                n=int(row["n"]),
-                r=int(row["r"]),
-                B=float(row["B"]),
-                replications=int(row["replications"]),
-                std_error=float(row["std_error"]),
-                seed=int(row["seed"]),
+                int(row["n"]), int(row["r"]), float(row["B"]),
+                int(row["replications"]), float(row["std_error"]), int(row["seed"]),
             )
             entries[(entry.n, entry.r, entry.replications, entry.seed)] = entry
     return entries

@@ -193,8 +193,18 @@ def metrics(estimates, true_value: float) -> PerformanceMetrics:
 
 
 def replication_rng(seed: int, *path: int) -> np.random.Generator:
-    """Substream derived from the run seed and a tuple of counter indices."""
-    return np.random.default_rng([int(seed)] + [int(p) for p in path])
+    """Substream derived from the run seed and a tuple of counter indices: the
+    generator ``default_rng([seed, *path])`` returns, built directly."""
+    key = [int(seed), *map(int, path)]
+    if all(0 <= k < 2**32 for k in key):  # the same 32-bit words, not converted one by one
+        key = np.array(key, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def _sorted_draws(model, n: int, replications: int, seed: int, *path: int) -> np.ndarray:
+    """Sorted samples of n lifetimes, row i drawn from substream (seed, *path, i)."""
+    rows = [weibull.sample(model, n, replication_rng(seed, *path, i)) for i in range(replications)]
+    return np.sort(rows, axis=1)
 
 
 def run_cell(
@@ -218,11 +228,8 @@ def run_cell(
     spec = PriorSpec(interval=case.interval, xbar_R=case.xbar_R, R=cfg.R, w_rule=rule)
     model = weibull.ReliableLifeWeibull(x_R=cfg.true_x_R, beta=cfg.true_beta, R=cfg.R)
     case_index = CASE_LABELS.index(case.label)
-    draws = np.empty((cfg.replications, cfg.n))
-    for i in range(cfg.replications):
-        rng = replication_rng(cfg.seed, case_index, rule_index, i)
-        draws[i] = weibull.sample(model, cfg.n, rng)
-    log_times = type2_log_times(np.sort(draws, axis=1), cfg.r)
+    draws = _sorted_draws(model, cfg.n, cfg.replications, cfg.seed, case_index, rule_index)
+    log_times = type2_log_times(draws, cfg.r)
     log_P = log_times[:, : cfg.r].sum(axis=1)
     estimates = posterior.estimate_many(spec, log_times, log_P, cfg.r, settings)
     kept = [est for est in estimates if est.converged]
@@ -246,15 +253,15 @@ def run_mle_row(
     cache_path=None,
 ) -> tuple[PerformanceMetrics, PerformanceMetrics, float]:
     """One (n, r) row of an MLE table: metrics for x_R and beta plus DS of
-    the unbiased shape estimate B*beta_hat."""
+    the unbiased shape estimate B*beta_hat.  Replications without a finite,
+    converged MLE are excluded and counted in ``failures``; if none is left,
+    the metrics have count 0 and nan bias, std_dev and rmse, and DS is nan."""
     model = weibull.ReliableLifeWeibull(x_R=1.0, beta=true_beta, R=R)
-    draws = np.empty((replications, n))
-    for i in range(replications):
-        rng = replication_rng(seed, n, r, i)
-        draws[i] = weibull.sample(model, n, rng)
-    draws.sort(axis=1)
-    beta_hat, x_R_hat, ok = mle.fit_many(draws, r, R)
+    beta_hat, x_R_hat, ok = mle.fit_many(_sorted_draws(model, n, replications, seed, n, r), r, R)
     failures = int((~ok).sum())
+    if not ok.any():
+        nothing = PerformanceMetrics(math.nan, math.nan, math.nan, count=0, failures=failures)
+        return nothing, nothing, math.nan
     entry = mle.calibrate_B(n, r, b_replications, seed, cache_path=cache_path)
     m_x = replace(metrics(x_R_hat[ok], 1.0), failures=failures)
     m_beta = replace(metrics(beta_hat[ok], true_beta), failures=failures)

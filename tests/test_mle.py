@@ -9,6 +9,7 @@ from oracles import shape_mle_brentq
 from weibayes.censoring import CensoredSample, log_likelihood, type2_censor
 from weibayes.errors import NoFiniteMleError
 from weibayes.mle import (
+    _MAX_ITERATIONS,
     UnbiasingEntry,
     append_calibration_cache,
     calibrate_B,
@@ -21,6 +22,7 @@ from weibayes.mle import (
 from weibayes.weibull import ReliableLifeWeibull, sample
 
 K98 = math.log(1.0 / 0.98)
+F, C = "failed", "censored"
 
 
 def _g_by_hand(beta, times, failed):
@@ -166,6 +168,137 @@ class TestFit:
             single = fit(type2_censor(rows[i].tolist(), 3), 0.98)
             assert beta_hat[i] == single.beta_hat
             assert math.isclose(x_R_hat[i], single.x_R_hat, rel_tol=1e-14)
+
+
+def _oracle_designs(count=300, seed=4321):
+    """Random designs, n = 3..40, shapes 0.3..8: each a sorted complete
+    sample with a type-II r, and the same lifetimes under random right
+    censoring that keeps the two earliest as failures."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 41))
+        shape = float(np.exp(rng.uniform(math.log(0.3), math.log(8.0))))
+        model = ReliableLifeWeibull(float(np.exp(rng.uniform(-3.0, 3.0))), shape, 0.98)
+        times = np.sort(sample(model, n, rng))
+        r = int(rng.integers(2, n + 1))
+        limits = rng.uniform(0.0, 2.0 * times[-1], n)
+        limits[:2] = np.inf
+        censored = CensoredSample(
+            tuple(np.minimum(times, limits).tolist()),
+            tuple(np.where(times <= limits, F, C).tolist()),
+        )
+        yield times, r, censored
+
+
+class TestOracleBattery:
+    # brentq's own xtol is 1e-13 absolute, so 1e-11 relative is what it can check
+    def test_type2_rows_match_brentq_and_fit(self):
+        for times, r, _ in _oracle_designs():
+            beta_hat, x_R_hat, ok = fit_many(times[None, :], r, 0.98)
+            s = type2_censor(times.tolist(), r)
+            assert ok[0]
+            assert math.isclose(
+                beta_hat[0], shape_mle_brentq(s.times, s.failure_times), rel_tol=1e-11
+            )
+            single = fit(s, 0.98)
+            assert (single.beta_hat, single.x_R_hat) == (beta_hat[0], x_R_hat[0])
+
+    def test_right_censored_samples_match_brentq(self):
+        for _, _, s in _oracle_designs():
+            got = fit(s, 0.98)
+            assert got.converged
+            assert math.isclose(
+                got.beta_hat, shape_mle_brentq(s.times, s.failure_times), rel_tol=1e-11
+            )
+
+
+class TestSolverSafeguards:
+    # expected masks and outcomes are those of the bisection solver this
+    # Newton solve replaced
+    @pytest.mark.parametrize(
+        "rows,r,expected",
+        [
+            ([[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
+              [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]], 2, [0, 0, 0, 0]),
+            ([[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
+              [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]], 3, [1, 0, 0, 0]),
+            ([[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
+              [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]], 4, [1, 0, 0, 1]),
+            ([[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
+              [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]], 5, [1, 1, 0, 1]),
+            ([[1e-300, 1.0, 2.0, 2.0], [1e-300, 1e-300, 1.0, 3.0], [1e-300, 1.0, 1.0, 1.0]],
+             2, [1, 0, 1]),
+            ([[1e-300, 1.0, 2.0, 2.0], [1e-300, 1e-300, 1.0, 3.0], [1e-300, 1.0, 1.0, 1.0]],
+             3, [1, 1, 1]),
+            ([[1e-200, 1.0, 1e200, 1e200], [1e-200, 1e-199, 1e199, 1e200],
+              [1e-200, 1e200, 1e200, 1e200], [1e-200, 1e-100, 1e100, 1e200]], 2, [1, 1, 1, 1]),
+            ([[1e-200, 1.0, 1e200, 1e200], [1e-200, 1e-199, 1e199, 1e200],
+              [1e-200, 1e200, 1e200, 1e200], [1e-200, 1e-100, 1e100, 1e200]], 4, [1, 1, 1, 1]),
+            ([[3.7] * 6, [3.7] * 6], 2, [0, 0]),
+            ([[3.7] * 6, [3.7] * 6], 6, [0, 0]),
+        ],
+    )
+    def test_fit_many_masks_on_extreme_rows(self, rows, r, expected):
+        beta_hat, _, ok = fit_many(np.array(rows), r, 0.98)
+        assert ok.tolist() == [bool(e) for e in expected]
+        assert np.isfinite(beta_hat).all()
+
+    @pytest.mark.parametrize("shape", [0.05, 50.0])
+    @pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (5, 2), (5, 5), (10, 3), (10, 10)])
+    def test_extreme_true_shapes_stay_ok(self, shape, n, r):
+        # the same exponential draws at shape 1: beta_hat scales with the shape
+        draws = np.sort(np.random.default_rng(606 + n * r).standard_exponential((400, n)), axis=1)
+        beta_hat, _, ok = fit_many(draws ** (1.0 / shape), r, 0.98)
+        unit, _, _ = fit_many(draws, r, 0.98)
+        assert ok.all()
+        np.testing.assert_allclose(beta_hat / shape, unit, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "times,status,outcome",
+        [
+            ((1e-200, 9.5e-167, 1.6e90, 3e120, 1e150, 2.0e199), (F, F, C, C, C, C),
+             "exceeds the double range"),
+            ((1e-300, 1.0, 5.0), (F, F, C), None),
+            ((1e-300, 1e-300, 1.0), (F, F, F), None),
+            ((1e-300, 1e-300, 1.0), (F, F, C), "coincide"),
+            ((1e-200, 1e200, 1e200), (F, F, C), None),
+            ((1e-200, 1.0, 1e200), (F, F, F), None),
+            ((1.0, 1.0, 2.0), (F, F, C), "coincide"),
+            ((1.0, 1.0, 2.0), (F, F, F), None),
+            ((2.0, 2.0, 2.0, 5.0), (F, F, F, C), "coincide"),
+            ((3.7, 3.7, 3.7), (F, F, F), "coincide"),
+            ((1.0, 1.0 + 1e-15, 2.0), (F, F, F), None),
+            ((1.0, 1.0 + 1e-15, 1e300), (F, F, C), None),
+            ((1.0, 1.0 + 1e-12, 1e300), (F, C, F), None),
+            ((1.0, 1.0 + 1e-9, 1.0 + 2e-9), (F, F, C), "no sign change"),
+        ],
+    )
+    def test_fit_on_extreme_samples(self, times, status, outcome):
+        s = CensoredSample(times, status)
+        if outcome is not None:
+            with pytest.raises(NoFiniteMleError, match=outcome):
+                fit(s, 0.98)
+            return
+        result = fit(s, 0.98)
+        assert result.converged
+        assert 0 < result.iterations < _MAX_ITERATIONS
+
+    def test_iterations_median_is_small(self):
+        rng = np.random.default_rng(29)
+        counts = []
+        for _ in range(500):
+            n = int(rng.integers(3, 41))
+            shape = float(np.exp(rng.uniform(math.log(0.05), math.log(50.0))))
+            s = type2_censor(sample(ReliableLifeWeibull(1.0, shape, 0.98), n, rng).tolist(),
+                             int(rng.integers(2, n + 1)))
+            try:
+                result = fit(s, 0.98)
+            except NoFiniteMleError:
+                continue
+            counts.append(result.iterations)
+        assert len(counts) > 450
+        assert max(counts) < _MAX_ITERATIONS
+        assert np.median(counts) <= 10
 
 
 class TestCalibration:

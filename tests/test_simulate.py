@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from weibayes import simulate
 from weibayes.censoring import type2_censor
 from weibayes.errors import InputValidationError, PriorDominanceWarning
 from weibayes.prior import BetaInterval, PriorSpec, WRule
@@ -136,6 +137,17 @@ class TestRunCell:
         assert len(streams) == 20
         assert replication_rng(1, 0, 0, 3).random() == replication_rng(1, 0, 0, 3).random()
 
+    @pytest.mark.parametrize(
+        "seed,path",
+        [(42, ()), (0, (0, 0, 0)), (17, (8, 3, 1999)), (2**32 - 1, (40, 24, 999)),
+         (2**32, (1, 2)), (7, (2**40, 3)), (3, (1, 2, 3, 4, 5, 6))],
+    )
+    def test_replication_rng_is_default_rng_of_the_path(self, seed, path):
+        got = replication_rng(seed, *path)
+        want = np.random.default_rng([seed, *path])
+        assert (got.random(8) == want.random(8)).all()
+        assert (got.standard_exponential(5) == want.standard_exponential(5)).all()
+
     def test_cell_where_every_replication_fails(self):
         # table 7, case V, w = 1.4/beta: no replication converges this coarsely
         settings = QuadratureSettings(panels=1, nodes_per_panel=2, max_refinements=2)
@@ -246,6 +258,23 @@ class TestRunMleRow:
         assert abs(m_beta.rmse / 2.2 - 1.0) < 0.25
         assert abs(ds_bar / 0.94 - 1.0) < 0.25
         assert 100.0 < m_x.rmse < 300.0  # reference value 170, extremely heavy tailed
+
+    def test_row_where_every_replication_is_degenerate(self, monkeypatch):
+        # at true shape 1e17 every draw rounds to x_R = 1.0, so no failure
+        # times differ and no replication has a finite MLE
+        m_x, m_beta, ds_bar = run_mle_row(1e17, 5, 3, 0.98, 20, 1)
+        for m in (m_x, m_beta):
+            assert m.count == 0 and m.failures == 20
+            assert math.isnan(m.bias) and math.isnan(m.std_dev) and math.isnan(m.rmse)
+        assert math.isnan(ds_bar)
+        monkeypatch.setitem(simulate._MLE_TABLES, "7b", (1e20, simulate._MLE_CENSORED_ROWS))
+        table = reproduce_table("7b", 20, 1)
+        assert [(row[0], row[1]) for row in table.rows] == list(simulate._MLE_CENSORED_ROWS)
+        for row in table.rows:
+            assert all(math.isnan(v) for v in row[2:5]) and row[5] == 20
+        out = io.StringIO()
+        table.to_csv(out)
+        assert out.getvalue().splitlines()[1] == "5,3,nan,nan,nan,20"
 
     def test_shape_rmse_scales_exactly_with_true_shape(self):
         # same seed means the same uniforms, and the shape estimate is
