@@ -212,35 +212,36 @@ class TestOracleBattery:
             )
 
 
+# rows with ties, a failure at 1e-300, times spanning 1e-200..1e200, all equal
+_TIES = [[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
+         [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]]
+_TINY = [[1e-300, 1.0, 2.0, 2.0], [1e-300, 1e-300, 1.0, 3.0], [1e-300, 1.0, 1.0, 1.0]]
+_SPAN = [[1e-200, 1.0, 1e200, 1e200], [1e-200, 1e-199, 1e199, 1e200],
+         [1e-200, 1e200, 1e200, 1e200], [1e-200, 1e-100, 1e100, 1e200]]
+_EQUAL = [[3.7] * 6] * 2
+
+
 class TestSolverSafeguards:
     # expected masks and outcomes are those of the bisection solver this
     # Newton solve replaced
     @pytest.mark.parametrize(
         "rows,r,expected",
         [
-            ([[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
-              [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]], 2, [0, 0, 0, 0]),
-            ([[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
-              [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]], 3, [1, 0, 0, 0]),
-            ([[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
-              [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]], 4, [1, 0, 0, 1]),
-            ([[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
-              [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]], 5, [1, 1, 0, 1]),
-            ([[1e-300, 1.0, 2.0, 2.0], [1e-300, 1e-300, 1.0, 3.0], [1e-300, 1.0, 1.0, 1.0]],
-             2, [1, 0, 1]),
-            ([[1e-300, 1.0, 2.0, 2.0], [1e-300, 1e-300, 1.0, 3.0], [1e-300, 1.0, 1.0, 1.0]],
-             3, [1, 1, 1]),
-            ([[1e-200, 1.0, 1e200, 1e200], [1e-200, 1e-199, 1e199, 1e200],
-              [1e-200, 1e200, 1e200, 1e200], [1e-200, 1e-100, 1e100, 1e200]], 2, [1, 1, 1, 1]),
-            ([[1e-200, 1.0, 1e200, 1e200], [1e-200, 1e-199, 1e199, 1e200],
-              [1e-200, 1e200, 1e200, 1e200], [1e-200, 1e-100, 1e100, 1e200]], 4, [1, 1, 1, 1]),
-            ([[3.7] * 6, [3.7] * 6], 2, [0, 0]),
-            ([[3.7] * 6, [3.7] * 6], 6, [0, 0]),
+            pytest.param(_TIES, 2, "0000", id="ties-r2"),
+            pytest.param(_TIES, 3, "1000", id="ties-r3"),
+            pytest.param(_TIES, 4, "1001", id="ties-r4"),
+            pytest.param(_TIES, 5, "1101", id="ties-r5"),
+            pytest.param(_TINY, 2, "101", id="tiny-r2"),
+            pytest.param(_TINY, 4, "111", id="tiny-r4"),
+            pytest.param(_SPAN, 2, "1111", id="span-r2"),
+            pytest.param(_SPAN, 4, "1111", id="span-r4"),
+            pytest.param(_EQUAL, 2, "00", id="equal-r2"),
+            pytest.param(_EQUAL, 6, "00", id="equal-r6"),
         ],
     )
     def test_fit_many_masks_on_extreme_rows(self, rows, r, expected):
         beta_hat, _, ok = fit_many(np.array(rows), r, 0.98)
-        assert ok.tolist() == [bool(e) for e in expected]
+        assert "".join("1" if v else "0" for v in ok) == expected
         assert np.isfinite(beta_hat).all()
 
     @pytest.mark.parametrize("shape", [0.05, 50.0])
