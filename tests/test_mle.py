@@ -272,6 +272,8 @@ class TestSolverSafeguards:
             ((1.0, 1.0 + 1e-15, 1e300), (F, F, C), None),
             ((1.0, 1.0 + 1e-12, 1e300), (F, C, F), None),
             ((1.0, 1.0 + 1e-9, 1.0 + 2e-9), (F, F, C), "no sign change"),
+            # close failures below a block of censored items: two bisection steps
+            ((1.0, 1.006) + (1.088,) * 10, (F, F) + (C,) * 10, None),
         ],
     )
     def test_fit_on_extreme_samples(self, times, status, outcome):
@@ -283,6 +285,9 @@ class TestSolverSafeguards:
         result = fit(s, 0.98)
         assert result.converged
         assert 0 < result.iterations < _MAX_ITERATIONS
+        assert math.isclose(
+            result.beta_hat, shape_mle_brentq(s.times, s.failure_times), rel_tol=1e-9
+        )
 
     def test_iterations_median_is_small(self):
         rng = np.random.default_rng(29)
