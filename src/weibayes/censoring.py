@@ -133,17 +133,13 @@ def type2_censor(times: Sequence[float], r: int) -> CensoredSample:
     The r smallest values become failures; the remaining n - r items are
     recorded as censored at the largest failure time.
     """
-    ts = [float(t) for t in times]
-    n = len(ts)
+    ordered = CensoredSample.complete(times).times  # checks every time, censored ones too
+    n = len(ordered)
     if n == 0:
         raise ValueError("cannot censor an empty sample")
     if not 1 <= int(r) <= n:
         raise ValueError(f"r must satisfy 1 <= r <= n = {n}, got {r}")
-    for t in ts:
-        if not (t > 0.0 and math.isfinite(t)):
-            raise ValueError(f"all times must be positive and finite, got {t!r}")
     r = int(r)
-    ordered = sorted(ts)
     cutoff = ordered[r - 1]
     return CensoredSample(
         times=tuple(ordered[:r]) + (cutoff,) * (n - r),

@@ -77,8 +77,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_mle(args) -> int:
     sample = load_sample_csv(args.sample)
     R = load_prior_spec(args.prior).R if args.prior else args.reliability
-    if not 0.0 < R < 1.0:
-        raise InputValidationError(f"reliability level must lie in (0, 1), got {R!r}")
     result = mle.fit(sample, R)
     print(format_mle_record(result))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -87,22 +85,16 @@ def _cmd_mle(args) -> int:
 def _cmd_prior_pdf(args) -> int:
     if (args.a is None) == (args.xbar_R is None):
         raise InputValidationError("give exactly one of --a and --xbar-r")
-    if args.a is not None:
-        if args.a <= 0.0:
-            raise InputValidationError("--a must be positive")
-        a = args.a
-    else:
-        if args.xbar_R <= 0.0:
-            raise InputValidationError("--xbar-r must be positive")
-        a = hyper_a(args.xbar_R, args.w, args.beta)
-    if args.w <= 0.0 or args.beta <= 0.0:
-        raise InputValidationError("--w and --beta must be positive")
+    for flag, value in (("--a", args.a), ("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise InputValidationError(f"{flag} must be positive and finite, got {value!r}")
+    a = args.a if args.a is not None else hyper_a(args.xbar_R, args.w, args.beta)
     x_min = args.x_min if args.x_min is not None else 1e-3 * a
     x_max = args.x_max if args.x_max is not None else 300.0 * a
-    if x_min <= 0.0 or x_max <= 0.0:
-        raise InputValidationError("grid bounds must be positive")
-    if x_min >= x_max:
-        raise InputValidationError("--x-min must be smaller than --x-max")
+    if not 0.0 < x_min < x_max < math.inf:
+        raise InputValidationError(
+            f"the grid needs 0 < x_min < x_max < inf, got x_min = {x_min!r}, x_max = {x_max!r}"
+        )
     if args.points < 2:
         raise InputValidationError("--points must be at least 2")
     grid = np.exp(np.linspace(math.log(x_min), math.log(x_max), args.points))
@@ -123,13 +115,8 @@ def _cmd_simulate(args) -> int:
     settings = _quad_settings(args)
     if args.config is not None:
         cfg = simulate.load_experiment_config(args.config)
-        overrides = {}
-        if args.replications is not None:
-            overrides["replications"] = args.replications
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        given = {"replications": args.replications, "seed": args.seed}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
         result = simulate.run_experiment(cfg, settings)
     else:
         if args.seed is None:
@@ -146,8 +133,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_calibrate_b(args) -> int:
     entry = mle.calibrate_B(args.n, args.r, args.replications, args.seed, cache_path=args.out)
-    print(",".join(map(str, mle.CACHE_FIELDS)))
-    print(f"{entry.n},{entry.r},{entry.B!r},{entry.replications},{entry.std_error!r},{entry.seed}")
+    print(",".join(mle.CACHE_FIELDS))
+    print(mle.calibration_row(entry))
     return EXIT_OK
 
 

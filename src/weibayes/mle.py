@@ -11,12 +11,12 @@ two failures with some spread.  The scale follows as alpha = (S(beta)/r)**(1/bet
 and the reliable life as x_R = alpha * K**(1/beta).
 
 One core solves rows of (ln x, mean ln x over failures, r): ``fit_many``
-passes type-II rows, ``fit`` one row of any right-censored sample.  The
-bracket [1e-3, 1e2] widens tenfold per step up to [1e-6, 1e6]; a row without
-a sign change there has no finite estimate.  Other rows start at the
-log-moment estimate pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and take Newton steps
-in ln beta, bisecting when a step leaves the sign bracket or shrinks too
-slowly, until the step is at rounding level.
+passes type-II rows, ``fit`` one row of any right-censored sample.  Each row
+is scored once at each end of the fixed bracket [1e-6, 1e6]; because g is
+decreasing, a row without a sign change there has no finite estimate.  Other
+rows start at the log-moment estimate pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and
+take Newton steps in ln beta, bisecting when a step leaves the sign bracket or
+shrinks too slowly, until the step is at rounding level.
 
 Because the distribution of beta_hat/beta does not depend on the true
 parameters, the multiplicative unbiasing factor B with E[B*beta_hat] = beta
@@ -46,26 +46,26 @@ __all__ = [
     "fit_many",
     "calibrate_B",
     "unbiased_beta",
+    "calibration_row",
     "read_calibration_cache",
     "append_calibration_cache",
 ]
 
 # |g(beta_hat)| below this counts as converged
 G_TOL = 1e-10
-# cap on score evaluations after the bracket; bisection alone would need ~55
+# cap on score evaluations after the bracket ends; bisection alone would need ~55
 _MAX_ITERATIONS = 100
 # a Newton step in ln(beta) below this, times max(1, |ln beta|), ends a row's solve
 _STEP_TOL = 4.0 * np.finfo(float).eps
-_BRACKET_LO = 1e-3
-_BRACKET_HI = 1e2
-_BRACKET_LO_MIN = 1e-6
-_BRACKET_HI_MAX = 1e6
+# shape values outside this bracket count as no finite estimate
+_BRACKET_LO = 1e-6
+_BRACKET_HI = 1e6
 
 
 @dataclass(frozen=True)
 class MleResult:
     """An MLE fit.  ``iterations`` counts Newton or bisection score evaluations
-    after the bracket search; ``converged`` means |g(beta_hat)| <= G_TOL."""
+    after the two at the bracket ends; ``converged`` means |g(beta_hat)| <= G_TOL."""
 
     alpha_hat: float
     beta_hat: float
@@ -108,22 +108,11 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     below = log_times - top[:, None]
     offset = mean_log_fail - top
     count = below.shape[0]
-    lo, hi = np.full(count, _BRACKET_LO), np.full(count, _BRACKET_HI)
-    g_lo, g_hi = _score(lo, below, offset), _score(hi, below, offset)
-    for _ in range(4):  # 1e2 -> 1e6
-        grow = (g_hi >= 0.0) & (hi < _BRACKET_HI_MAX)
-        if not grow.any():
-            break
-        hi[grow] *= 10.0
-        g_hi[grow] = _score(hi[grow], below[grow], offset[grow])
-    for _ in range(3):  # 1e-3 -> 1e-6
-        shrink = (g_lo <= 0.0) & (lo > _BRACKET_LO_MIN)
-        if not shrink.any():
-            break
-        lo[shrink] /= 10.0
-        g_lo[shrink] = _score(lo[shrink], below[shrink], offset[shrink])
+    g_lo = _score(np.full(count, _BRACKET_LO), below, offset)
+    g_hi = _score(np.full(count, _BRACKET_HI), below, offset)
     has_root = (g_lo > 0.0) & (g_hi < 0.0)
-    u = np.log(np.where(g_hi >= 0.0, hi, lo))
+    u_lo, u_hi = math.log(_BRACKET_LO), math.log(_BRACKET_HI)
+    u = np.where(g_hi >= 0.0, u_hi, u_lo)
     g = np.where(g_hi >= 0.0, g_hi, g_lo)
     iterations = np.zeros(count, dtype=int)
 
@@ -131,7 +120,6 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     # a step would leave the sign bracket or shrinks by less than half
     rows = np.flatnonzero(has_root)
     x, off = below[rows], offset[rows]
-    u_lo, u_hi = np.log(lo[rows]), np.log(hi[rows])
     with np.errstate(divide="ignore"):
         at = np.clip(np.log(np.pi / (np.sqrt(6.0) * x.std(axis=1))), u_lo, u_hi)
     last_step = u_hi - u_lo
@@ -193,7 +181,7 @@ def fit(sample: CensoredSample, R: float) -> MleResult:
     if not has_root:
         raise NoFiniteMleError(
             "no finite maximum-likelihood estimate: profile score has no sign change "
-            f"on [{_BRACKET_LO_MIN:g}, {_BRACKET_HI_MAX:g}]"
+            f"on [{_BRACKET_LO:g}, {_BRACKET_HI:g}]"
         )
     with np.errstate(over="ignore"):
         scale = np.exp([log_alpha, log_x_R])
@@ -276,6 +264,11 @@ def unbiased_beta(
 CACHE_FIELDS = ("n", "r", "B", "replications", "std_error", "seed")
 
 
+def calibration_row(entry: UnbiasingEntry) -> str:
+    """An entry as one CSV row in CACHE_FIELDS order, floats by repr so they read back exactly."""
+    return f"{entry.n},{entry.r},{entry.B!r},{entry.replications},{entry.std_error!r},{entry.seed}"
+
+
 def read_calibration_cache(path) -> dict[tuple[int, int, int, int], UnbiasingEntry]:
     entries: dict[tuple[int, int, int, int], UnbiasingEntry] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -291,9 +284,6 @@ def read_calibration_cache(path) -> dict[tuple[int, int, int, int], UnbiasingEnt
 def append_calibration_cache(path, entry: UnbiasingEntry) -> None:
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         if fresh:
-            writer.writerow(CACHE_FIELDS)
-        writer.writerow(
-            [entry.n, entry.r, repr(entry.B), entry.replications, repr(entry.std_error), entry.seed]
-        )
+            fh.write(",".join(CACHE_FIELDS) + "\n")
+        fh.write(calibration_row(entry) + "\n")

@@ -30,6 +30,7 @@ which the simulation harness passes all replications of a cell at once.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -85,13 +86,7 @@ class PosteriorEstimate:
     converged: bool
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    if count not in _leggauss_cache:
-        _leggauss_cache[count] = leggauss(count)
-    return _leggauss_cache[count]
+_gauss_nodes = functools.cache(leggauss)
 
 
 def _sample_rows(sample: CensoredSample) -> tuple[np.ndarray, np.ndarray, int]:
@@ -223,22 +218,28 @@ def _warn_if_prior_dominant(spec: PriorSpec, r: int) -> None:
         )
 
 
+def _sample_log_I(
+    spec: PriorSpec, sample: CensoredSample, settings: QuadratureSettings, what: str
+) -> np.ndarray:
+    """Log integrals (3,) of one sample; warns, naming ``what``, if refinement did not converge."""
+    log_I, _, converged = _integrate_all(spec, *_sample_rows(sample), settings)
+    if not converged[0]:
+        warnings.warn(
+            f"{what} did not reach rel_tol = {settings.rel_tol:g} within "
+            f"{settings.max_refinements} refinements",
+            QuadratureConvergenceWarning,
+            stacklevel=3,
+        )
+    return log_I[:, 0]
+
+
 def integrate_Ih(
     h: int, spec: PriorSpec, sample: CensoredSample, settings: QuadratureSettings | None = None
 ) -> float:
     """Log of I_h over the shape interval; warns if refinement did not converge."""
     if h not in (0, 1, 2):
         raise ValueError(f"h must be 0, 1 or 2, got {h!r}")
-    settings = settings or QuadratureSettings()
-    log_I, _, converged = _integrate_all(spec, *_sample_rows(sample), settings)
-    if not converged[0]:
-        warnings.warn(
-            f"integral I_{h} did not reach rel_tol = {settings.rel_tol:g} within "
-            f"{settings.max_refinements} refinements",
-            QuadratureConvergenceWarning,
-            stacklevel=2,
-        )
-    return float(log_I[h, 0])
+    return float(_sample_log_I(spec, sample, settings or QuadratureSettings(), f"integral I_{h}")[h])
 
 
 def _estimates(
@@ -326,12 +327,6 @@ def joint_posterior_pdf(
                 - np.exp(log_A[0] - bi * log_x)
                 - gammaln(w)
             )
-        log_I, _, converged = _integrate_all(spec, log_times, log_P, r, settings)
-        if not converged[0]:
-            warnings.warn(
-                "posterior normalization did not converge to the requested tolerance",
-                QuadratureConvergenceWarning,
-                stacklevel=2,
-            )
-        out[inside] = np.exp(log_num - log_I[0, 0])
+        log_I0 = _sample_log_I(spec, sample, settings, "posterior normalization")[0]
+        out[inside] = np.exp(log_num - log_I0)
     return float(out[()]) if scalar else out

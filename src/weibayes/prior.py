@@ -262,15 +262,31 @@ def prior_from_virtual_sample(v: VirtualSample, R: float, beta: float) -> tuple[
     return float(v.r_prime), (K * s_prime) ** (1.0 / beta)
 
 
-def _w_rule_from_dict(d) -> WRule:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise InputValidationError("w_rule must be an object with a 'kind' field")
-    kind = d["kind"]
-    extra = set(d) - {"kind", "value"}
-    if extra:
-        raise InputValidationError(f"w_rule has unknown fields: {sorted(extra)}")
+def read_json(path):
+    """Parse a JSON file; malformed JSON raises InputValidationError naming the file."""
     try:
-        return WRule(kind, d.get("value"))
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputValidationError(f"{path}: invalid JSON ({exc})") from None
+
+
+def check_fields(d, what: str, required: set, optional: set = frozenset()) -> None:
+    """Reject anything but a JSON object with every required field and no unknown one."""
+    if not isinstance(d, dict):
+        raise InputValidationError(f"{what} must be a JSON object")
+    missing = required - set(d)
+    if missing:
+        raise InputValidationError(f"{what} is missing fields: {sorted(missing)}")
+    unknown = set(d) - required - optional
+    if unknown:
+        raise InputValidationError(f"{what} has unknown fields: {sorted(unknown)}")
+
+
+def _w_rule_from_dict(d) -> WRule:
+    check_fields(d, "w_rule", {"kind"}, {"value"})
+    try:
+        return WRule(d["kind"], d.get("value"))
     except ValueError as exc:
         raise InputValidationError(str(exc)) from None
 
@@ -283,28 +299,15 @@ def prior_spec_from_dict(d) -> PriorSpec:
     InputValidationError; a rule that breaks w > 1/beta on the interval
     raises ElicitationConstraintError.
     """
-    if not isinstance(d, dict):
-        raise InputValidationError("prior specification must be a JSON object")
-    required = {"beta1", "beta2", "xbar_R", "R", "w_rule"}
-    missing = required - set(d)
-    if missing:
-        raise InputValidationError(f"prior specification is missing fields: {sorted(missing)}")
-    unknown = set(d) - required
-    if unknown:
-        raise InputValidationError(f"prior specification has unknown fields: {sorted(unknown)}")
+    check_fields(d, "prior specification", {"beta1", "beta2", "xbar_R", "R", "w_rule"})
     rule = _w_rule_from_dict(d["w_rule"])
     try:
         interval = BetaInterval(float(d["beta1"]), float(d["beta2"]))
         return PriorSpec(interval=interval, xbar_R=float(d["xbar_R"]), R=float(d["R"]), w_rule=rule)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputValidationError(str(exc)) from None
 
 
 def load_prior_spec(path) -> PriorSpec:
     """Read a PriorSpec from a JSON file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputValidationError(f"{path}: invalid JSON ({exc})") from None
-    return prior_spec_from_dict(data)
+    return prior_spec_from_dict(read_json(path))

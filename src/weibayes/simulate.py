@@ -9,13 +9,13 @@ summarized by bias, population standard deviation, and root mean square
 error of the empirical distribution over the replications.
 
 Every replication draws from its own counter-derived substream, so cells are
-reproducible and order-independent: stream(i) = default_rng([seed,
-case_index, rule_index, i]).
+reproducible and order-independent: replication i of a Bayes cell draws from
+default_rng([seed, case_index, rule_index, i]) and of an MLE row from
+default_rng([seed, n, r, i]).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import mle, posterior, weibull
 from .censoring import type2_log_times
 from .errors import InputValidationError
-from .prior import BetaInterval, PriorSpec, WRule
+from .prior import BetaInterval, PriorSpec, WRule, check_fields, read_json
 from .posterior import QuadratureSettings
 
 __all__ = [
@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
+
+# Monte Carlo draws behind the B(n, r) factor of each MLE table row
+_B_REPLICATIONS = 10**4
 
 CASE_LABELS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 
@@ -120,15 +123,23 @@ class ExperimentConfig:
     w_rules: tuple[str, ...] = STANDARD_W_LABELS
 
     def __post_init__(self) -> None:
-        if self.r > self.n:
-            raise ValueError(f"need r <= n, got r = {self.r}, n = {self.n}")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not 1 <= self.r <= self.n:
+            raise ValueError(f"need 1 <= r <= n, got r = {self.r}, n = {self.n}")
+        _check_run(self.replications, self.seed)
+        for name in ("prior_cases", "w_rules"):
+            labels = getattr(self, name)
+            if not (isinstance(labels, tuple) and labels and all(isinstance(x, str) for x in labels)):
+                raise ValueError(f"{name} must be a non-empty list of strings, got {labels!r}")
         for label in self.prior_cases:
             if label not in CASE_LABELS:
                 raise ValueError(f"unknown prior case {label!r}")
+
+
+def _check_run(replications: int, seed: int) -> None:
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
 
 
 def build_case(label: str, true_beta: float, true_x_R: float = 1.0) -> CaseDefinition:
@@ -192,6 +203,14 @@ def metrics(estimates, true_value: float) -> PerformanceMetrics:
     )
 
 
+def _summary(kept, true_value: float, failures: int) -> PerformanceMetrics:
+    """Metrics of the kept estimates with the excluded count; count 0 and nan
+    bias, std_dev and rmse when nothing is kept."""
+    if len(kept) == 0:
+        return PerformanceMetrics(math.nan, math.nan, math.nan, count=0, failures=failures)
+    return replace(metrics(kept, true_value), failures=failures)
+
+
 def replication_rng(seed: int, *path: int) -> np.random.Generator:
     """Substream derived from the run seed and a tuple of counter indices: the
     generator ``default_rng([seed, *path])`` returns, built directly."""
@@ -234,11 +253,8 @@ def run_cell(
     estimates = posterior.estimate_many(spec, log_times, log_P, cfg.r, settings)
     kept = [est for est in estimates if est.converged]
     failures = len(estimates) - len(kept)
-    if not kept:
-        nothing = PerformanceMetrics(math.nan, math.nan, math.nan, count=0, failures=failures)
-        return nothing, nothing
-    m_x = replace(metrics([est.x_R_tilde for est in kept], cfg.true_x_R), failures=failures)
-    m_beta = replace(metrics([est.beta_tilde for est in kept], cfg.true_beta), failures=failures)
+    m_x = _summary([est.x_R_tilde for est in kept], cfg.true_x_R, failures)
+    m_beta = _summary([est.beta_tilde for est in kept], cfg.true_beta, failures)
     return m_x, m_beta
 
 
@@ -249,24 +265,22 @@ def run_mle_row(
     R: float,
     replications: int,
     seed: int,
-    b_replications: int = 10**4,
     cache_path=None,
 ) -> tuple[PerformanceMetrics, PerformanceMetrics, float]:
     """One (n, r) row of an MLE table: metrics for x_R and beta plus DS of
     the unbiased shape estimate B*beta_hat.  Replications without a finite,
     converged MLE are excluded and counted in ``failures``; if none is left,
     the metrics have count 0 and nan bias, std_dev and rmse, and DS is nan."""
+    _check_run(replications, seed)
     model = weibull.ReliableLifeWeibull(x_R=1.0, beta=true_beta, R=R)
     beta_hat, x_R_hat, ok = mle.fit_many(_sorted_draws(model, n, replications, seed, n, r), r, R)
     failures = int((~ok).sum())
+    m_x = _summary(x_R_hat[ok], 1.0, failures)
+    m_beta = _summary(beta_hat[ok], true_beta, failures)
     if not ok.any():
-        nothing = PerformanceMetrics(math.nan, math.nan, math.nan, count=0, failures=failures)
-        return nothing, nothing, math.nan
-    entry = mle.calibrate_B(n, r, b_replications, seed, cache_path=cache_path)
-    m_x = replace(metrics(x_R_hat[ok], 1.0), failures=failures)
-    m_beta = replace(metrics(beta_hat[ok], true_beta), failures=failures)
-    ds_beta_bar = metrics(entry.B * beta_hat[ok], true_beta).std_dev
-    return m_x, m_beta, ds_beta_bar
+        return m_x, m_beta, math.nan
+    entry = mle.calibrate_B(n, r, _B_REPLICATIONS, seed, cache_path=cache_path)
+    return m_x, m_beta, metrics(entry.B * beta_hat[ok], true_beta).std_dev
 
 
 @dataclass(frozen=True)
@@ -301,14 +315,12 @@ def table_config(table_id, replications: int, seed: int) -> ExperimentConfig:
     )
 
 
-def _mle_table(table_id: str, replications: int, seed: int, cache_path=None) -> TableResult:
+def _mle_table(table_id: str, replications: int, seed: int) -> TableResult:
     true_beta, designs = _MLE_TABLES[table_id]
     columns = ("n", "r", "rq_xR", "rq_beta", "ds_beta_bar", "failures")
     rows = []
     for n, r in designs:
-        m_x, m_beta, ds_bar = run_mle_row(
-            true_beta, n, r, 0.98, replications, seed, cache_path=cache_path
-        )
+        m_x, m_beta, ds_bar = run_mle_row(true_beta, n, r, 0.98, replications, seed)
         rows.append((n, r, m_x.rmse, m_beta.rmse, ds_bar, m_x.failures))
     return TableResult(table_id=table_id, kind="mle", columns=columns, rows=tuple(rows))
 
@@ -318,7 +330,6 @@ def reproduce_table(
     replications: int,
     seed: int,
     settings: QuadratureSettings | None = None,
-    cache_path=None,
 ) -> TableResult:
     """Reproduce a benchmark table: Bayes grids 3..8 or MLE ladders 3b..8b."""
     key = str(table_id)
@@ -326,7 +337,7 @@ def reproduce_table(
         table = run_experiment(table_config(key, replications, seed), settings)
         return replace(table, table_id=key)
     if key in _MLE_TABLES:
-        return _mle_table(key, replications, seed, cache_path)
+        return _mle_table(key, replications, seed)
     raise InputValidationError(f"unknown table id {table_id!r}")
 
 
@@ -346,16 +357,12 @@ def paper_format(value: float) -> str:
 
 def experiment_config_from_dict(d) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON object form."""
-    if not isinstance(d, dict):
-        raise InputValidationError("experiment configuration must be a JSON object")
-    required = {"true_beta", "n", "r", "seed"}
-    allowed = required | {"true_x_R", "R", "replications", "prior_cases", "w_rules"}
-    missing = required - set(d)
-    if missing:
-        raise InputValidationError(f"experiment configuration is missing fields: {sorted(missing)}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise InputValidationError(f"experiment configuration has unknown fields: {sorted(unknown)}")
+    check_fields(
+        d,
+        "experiment configuration",
+        {"true_beta", "n", "r", "seed"},
+        {"true_x_R", "R", "replications", "prior_cases", "w_rules"},
+    )
     try:
         return ExperimentConfig(
             true_beta=float(d["true_beta"]),
@@ -365,20 +372,20 @@ def experiment_config_from_dict(d) -> ExperimentConfig:
             true_x_R=float(d.get("true_x_R", 1.0)),
             R=float(d.get("R", 0.98)),
             replications=int(d.get("replications", 2000)),
-            prior_cases=tuple(d.get("prior_cases", CASE_LABELS)),
-            w_rules=tuple(d.get("w_rules", STANDARD_W_LABELS)),
+            prior_cases=_tuple_if_list(d.get("prior_cases", CASE_LABELS)),
+            w_rules=_tuple_if_list(d.get("w_rules", STANDARD_W_LABELS)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputValidationError(str(exc)) from None
 
 
+def _tuple_if_list(value):
+    # a JSON string must reach the label check whole, not split into characters
+    return tuple(value) if isinstance(value, list) else value
+
+
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputValidationError(f"{path}: invalid JSON ({exc})") from None
-    return experiment_config_from_dict(data)
+    return experiment_config_from_dict(read_json(path))
 
 
 def run_experiment(cfg: ExperimentConfig, settings: QuadratureSettings | None = None) -> TableResult:

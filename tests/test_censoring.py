@@ -72,6 +72,13 @@ class TestType2Censor:
         with pytest.raises(ValueError):
             type2_censor([], 1)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_bad_time_among_censored_items(self, bad):
+        # items past the r-th failure are recorded at the cutoff, so their own
+        # times must be checked before they are replaced
+        with pytest.raises(ValueError, match="positive and finite"):
+            type2_censor([1.0, 2.0, 3.0, bad], 2)
+
 
 class TestSampleStats:
     def test_s_at_one_is_plain_sum(self):

@@ -133,6 +133,12 @@ class TestMleCommand:
         assert rc == 3
         assert "exceeds the double range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+    def test_reliability_outside_unit_interval_exits_2(self, capsys, sample_path, value):
+        rc = cli.main(["mle", "--sample", sample_path, "--reliability", value])
+        assert rc == 2
+        assert "R must lie strictly inside (0, 1)" in capsys.readouterr().err
+
     def test_reliability_from_prior_file(self, capsys, sample_path, tmp_path):
         prior = tmp_path / "prior.json"
         prior.write_text(json.dumps({**PRIOR_CASE_I, "R": 0.9}), encoding="utf-8")
@@ -184,6 +190,29 @@ class TestPriorPdfCommand:
     def test_infinite_weight_exits_2(self, capsys):
         rc = cli.main(["prior-pdf", "--xbar-r", "1", "--w", "inf", "--beta", "1"])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flag,value", [("--a", "nan"), ("--a", "inf"), ("--x-min", "nan"), ("--x-max", "inf")]
+    )
+    def test_nonfinite_flag_exits_2_naming_it(self, capsys, flag, value):
+        args = {"--a": "1.0", "--w": "1.5", "--beta": "1.0", flag: value}
+        rc = cli.main(["prior-pdf", *(item for pair in args.items() for item in pair)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} must be positive and finite, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--a", "1", "--w", "0", "--beta", "1"],
+            ["--a", "1", "--w", "1.5", "--beta", "-1"],
+            ["--xbar-r", "0", "--w", "1.5", "--beta", "1"],
+            ["--xbar-r", "1", "--w", "1.5", "--beta", "0"],
+        ],
+    )
+    def test_nonpositive_parameter_exits_2(self, capsys, args):
+        assert cli.main(["prior-pdf", *args]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_requires_exactly_one_scale_source(self, capsys):
@@ -247,6 +276,44 @@ class TestSimulateCommand:
     def test_table_requires_seed(self, capsys):
         rc = cli.main(["simulate", "--table", "4b", "--replications", "10"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"r": -1}, "need 1 <= r <= n"),
+            ({"r": 0}, "need 1 <= r <= n"),
+            ({"prior_cases": "IV"}, "prior_cases must be a non-empty list of strings"),
+            ({"prior_cases": []}, "prior_cases must be a non-empty list of strings"),
+            ({"w_rules": "unit"}, "w_rules must be a non-empty list of strings"),
+            ({"w_rules": []}, "w_rules must be a non-empty list of strings"),
+            ({"w_rules": [1.1]}, "w_rules must be a non-empty list of strings"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, capsys, tmp_path, change, message):
+        cfg = {
+            "true_beta": 2.0, "n": 3, "r": 3, "seed": 5, "replications": 2,
+            "prior_cases": ["I"], "w_rules": ["1.1/beta"], **change,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "result.csv"
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table", ["4", "4b"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--replications", "0", "--seed", "1"], "replications must be at least 1"),
+            (["--replications", "5", "--seed", "-1"], "seed must be a nonnegative integer"),
+        ],
+    )
+    def test_bad_run_size_or_seed_exits_2_for_both_table_kinds(self, capsys, table, flags, message):
+        rc = cli.main(["simulate", "--table", table, *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_rejects_both_config_and_table(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -421,6 +421,12 @@ class TestPriorSpecJson:
                 {"beta1": 0.5, "beta2": 2.0, "xbar_R": 1, "R": 0.98, "w_rule": {"kind": "unit"}}
             )
 
+    def test_number_beyond_float_range_rejected(self):
+        with pytest.raises(InputValidationError):
+            prior_spec_from_dict(
+                {"beta1": 1, "beta2": 10**400, "xbar_R": 1, "R": 0.98, "w_rule": {"kind": "unit"}}
+            )
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "prior.json"
         path.write_text("{not json", encoding="utf-8")

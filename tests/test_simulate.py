@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weibayes import simulate
 from weibayes.censoring import type2_censor
@@ -352,6 +354,35 @@ class TestPaperFormat:
         assert "E+" in body or "E-" in body
 
 
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_NUMBERS = st.one_of(st.integers(-3, 12), st.floats(-3.0, 12.0), st.floats(), _JSON_VALUES)
+_LABELS = st.one_of(
+    st.lists(st.sampled_from(CASE_LABELS + STANDARD_W_LABELS), max_size=3),
+    st.text(max_size=4),
+    _JSON_VALUES,
+)
+_FIELDS = {
+    "true_beta": _NUMBERS, "n": _NUMBERS, "r": _NUMBERS, "seed": _NUMBERS,
+    "true_x_R": _NUMBERS, "R": _NUMBERS, "replications": _NUMBERS,
+    "prior_cases": _LABELS, "w_rules": _LABELS,
+}
+_REQUIRED = ("true_beta", "n", "r", "seed")
+# JSON-like objects: the required fields present with mostly numeric values,
+# arbitrary field subsets (unknown names included), and non-objects
+_CONFIG_OBJECTS = st.one_of(
+    st.fixed_dictionaries(
+        {name: _FIELDS[name] for name in _REQUIRED},
+        optional={name: value for name, value in _FIELDS.items() if name not in _REQUIRED},
+    ),
+    st.dictionaries(st.sampled_from(sorted(_FIELDS) + ["mystery"]), _JSON_VALUES, max_size=10),
+    _JSON_VALUES,
+)
+
+
 class TestExperimentConfig:
     def test_from_dict_defaults(self):
         cfg = experiment_config_from_dict({"true_beta": 1.0, "n": 3, "r": 3, "seed": 5})
@@ -377,3 +408,17 @@ class TestExperimentConfig:
             ExperimentConfig(true_beta=1.0, n=3, r=3, seed=1, replications=0)
         with pytest.raises(ValueError):
             ExperimentConfig(true_beta=1.0, n=3, r=3, seed=1, prior_cases=("Z",))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_CONFIG_OBJECTS)
+    def test_from_dict_returns_a_runnable_config_or_rejects(self, d):
+        try:
+            cfg = experiment_config_from_dict(d)
+        except InputValidationError:
+            return
+        assert 1 <= cfg.r <= cfg.n
+        assert cfg.replications >= 1 and cfg.seed >= 0
+        for labels in (cfg.prior_cases, cfg.w_rules):
+            assert isinstance(labels, tuple) and labels
+            assert all(isinstance(label, str) for label in labels)
