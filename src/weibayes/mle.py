@@ -229,6 +229,8 @@ def calibrate_B(
     if replications < 10**4:
         raise ValueError("calibration needs at least 1e4 replications")
     seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     if cache_path is not None and os.path.exists(cache_path):
         cached = read_calibration_cache(cache_path).get((n, r, int(replications), seed))
         if cached is not None:

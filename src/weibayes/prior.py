@@ -207,7 +207,14 @@ def hyper_a(xbar_R: float, w: float, beta: float) -> float:
             f"the anticipated-reliable-life conversion requires w > 1/beta; "
             f"got w = {w:.6g} <= 1/beta = {1.0 / beta:.6g} at beta = {beta:.6g}"
         )
-    return xbar_R * math.exp(gammaln(w) - gammaln(w - 1.0 / beta))
+    try:
+        a = xbar_R * math.exp(gammaln(w) - gammaln(w - 1.0 / beta))
+    except OverflowError:
+        a = math.inf
+    if a == math.inf:
+        raise ValueError(f"a = xbar_R * Gamma(w) / Gamma(w - 1/beta) exceeds the double range "
+                         f"at xbar_R = {xbar_R:.6g}, w = {w:.6g}, beta = {beta:.6g}")
+    return a
 
 
 def igg_pdf(x_R: float, a: float, w: float, beta: float) -> float:

@@ -8,14 +8,16 @@ of the true value.  Four weight settings are examined: w = 1.1/beta,
 summarized by bias, population standard deviation, and root mean square
 error of the empirical distribution over the replications.
 
-Every replication draws from its own counter-derived substream, so cells are
-reproducible and order-independent: replication i of a Bayes cell draws from
-default_rng([seed, case_index, rule_index, i]) and of an MLE row from
-default_rng([seed, n, r, i]).
+Replication i of a Bayes cell draws from default_rng([seed, case_index,
+rule_index, i]) and of an MLE row from default_rng([seed, n, r, i]), so cells
+are reproducible and order-independent.  A cell or row computes all these
+uniforms in one pass of SeedSequence and PCG64 arithmetic on uint32/uint64 arrays,
+equal to default_rng([seed, *path, i]).random(n) bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -212,18 +214,79 @@ def _summary(kept, true_value: float, failures: int) -> PerformanceMetrics:
 
 
 def replication_rng(seed: int, *path: int) -> np.random.Generator:
-    """Substream derived from the run seed and a tuple of counter indices: the
-    generator ``default_rng([seed, *path])`` returns, built directly."""
-    key = [int(seed), *map(int, path)]
-    if all(0 <= k < 2**32 for k in key):  # the same 32-bit words, not converted one by one
-        key = np.array(key, dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    """Substream ``default_rng([seed, *path])`` of one replication; a cell or
+    ladder row computes all its replications' uniforms in one pass, same bits."""
+    return np.random.default_rng([int(seed), *map(int, path)])
+
+
+# numpy's SeedSequence constants, PCG64's multiplier (high, low, low halves) and uint64 shifts
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT16 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO0, _MULT_LO1, _LOW32 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64), np.uint64(0xFFFFFFFF)
+_ONE, _SHIFT11, _SHIFT32, _SHIFT58, _SHIFT63, _SHIFT64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 words, with its running constant."""
+    def hash_words(words):
+        nonlocal const
+        xor, const = np.uint32(const), const * mult & 0xFFFFFFFF
+        words = (words ^ xor) * np.uint32(const)
+        return words ^ (words >> _SHIFT16)
+    return hash_words
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One step, state * multiplier + inc, of PCG64's 128-bit LCG on (hi, lo) uint64 words."""
+    # the high word of lo * _MULT_LO, from 32-bit halves
+    lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
+    cross01, cross10 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    middle = ((lo0 * _MULT_LO0) >> _SHIFT32) + (cross01 & _LOW32) + (cross10 & _LOW32)
+    hi = hi * _MULT_LO + lo * _MULT_HI + lo1 * _MULT_LO1 + (middle >> _SHIFT32)
+    hi += (cross01 >> _SHIFT32) + (cross10 >> _SHIFT32)
+    lo = lo * _MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo).astype(np.uint64), lo
+
+
+def _replication_uniforms(n: int, replications: int, seed: int, *path: int) -> np.ndarray:
+    """Row i is ``replication_rng(seed, *path, i).random(n)``, all rows in one pass of
+    SeedSequence mixing, ``generate_state(4, uint64)``, PCG64 seeding and doubles."""
+    m, keys = replications, [int(key) for key in (seed, *path)]
+    if min(keys) < 0:
+        raise ValueError("substream keys must be nonnegative integers")
+    # each key as its 32-bit words, low word first (0 is one word), then i; at least four words
+    words = [k >> s & 0xFFFFFFFF for k in keys for s in range(0, max(k.bit_length(), 1), 32)]
+    words = [np.full(m, w, np.uint32) for w in words] + [np.arange(m, dtype=np.uint32)]
+    words += [np.zeros(m, np.uint32)] * (4 - len(words))
+    # hash four words into the pool, mix each into the others, then every later word into each
+    hash_words = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_words(word) for word in words[:4]]
+    mixes = [*itertools.permutations(range(4), 2), *itertools.product(range(4, len(words)), range(4))]
+    for src, dst in mixes:
+        mixed = _MIX_L * pool[dst] - _MIX_R * hash_words(pool[src] if src < 4 else words[src])
+        pool[dst] = mixed ^ (mixed >> _SHIFT16)
+    # generate_state(4, uint64): PCG64's seed and increment as (high, low) word pairs
+    hash_words = _hasher(_INIT_B, _MULT_B)
+    state = [hash_words(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (state[k] | state[k + 1] << _SHIFT32 for k in (0, 2, 4, 6))
+    inc_hi, inc_lo = inc_hi << _ONE | inc_lo >> _SHIFT63, inc_lo << _ONE | _ONE
+    # seeding steps from state 0 (to inc), adds the seed and steps again
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo).astype(np.uint64), lo, inc_hi, inc_lo)
+    u = np.empty((m, n))
+    for j in range(n):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        folded, rotation = hi ^ lo, hi >> _SHIFT58  # XSL-RR output, then its top 53 bits
+        bits = folded >> rotation | folded << ((_SHIFT64 - rotation) & _SHIFT63)
+        u[:, j] = (bits >> _SHIFT11).astype(np.float64) * 2.0**-53
+    return u
 
 
 def _sorted_draws(model, n: int, replications: int, seed: int, *path: int) -> np.ndarray:
     """Sorted samples of n lifetimes, row i drawn from substream (seed, *path, i)."""
-    rows = [weibull.sample(model, n, replication_rng(seed, *path, i)) for i in range(replications)]
-    return np.sort(rows, axis=1)
+    u = _replication_uniforms(n, replications, seed, *path)
+    return np.sort(weibull._inverse_transform(model, u), axis=1)
 
 
 def run_cell(
@@ -396,12 +459,13 @@ def run_experiment(cfg: ExperimentConfig, settings: QuadratureSettings | None = 
         + [f"rq_beta[w={lbl}]" for lbl in cfg.w_rules]
         + [f"failures[w={lbl}]" for lbl in cfg.w_rules]
     )
+    # resolve every (case, rule) pair first, so a bad label stops the run before any cell
+    cases = [build_case(label, cfg.true_beta, cfg.true_x_R) for label in cfg.prior_cases]
+    rules = [[resolve_w_rule(lbl, case.interval) for lbl in cfg.w_rules] for case in cases]
     rows = []
-    for label in cfg.prior_cases:
-        case = build_case(label, cfg.true_beta, cfg.true_x_R)
+    for label, case, case_rules in zip(cfg.prior_cases, cases, rules):
         rq_x, rq_beta, fails = [], [], []
-        for rule_index, rule_label in enumerate(cfg.w_rules):
-            rule = resolve_w_rule(rule_label, case.interval)
+        for rule_index, rule in enumerate(case_rules):
             m_x, m_beta = run_cell(cfg, case, rule, rule_index, settings)
             rq_x.append(m_x.rmse)
             rq_beta.append(m_beta.rmse)

@@ -14,6 +14,7 @@ why this form is primary everywhere in the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,11 @@ def sample(p: ReliableLifeWeibull, n: int, rng: np.random.Generator) -> np.ndarr
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    u = rng.random(n)
-    # keep the survival probabilities strictly inside (0, 1)
-    u[u == 0.0] = np.finfo(float).tiny
+    return _inverse_transform(p, rng.random(n))
+
+
+def _inverse_transform(p: ReliableLifeWeibull, u: np.ndarray) -> np.ndarray:
+    """Lifetimes with survival probabilities u, uniforms in [0, 1) of any shape;
+    u == 0, the only value below 2**-53, is read as the smallest normal double."""
+    u = np.maximum(u, sys.float_info.min)
     return p.x_R * (np.log(1.0 / u) / p.K) ** (1.0 / p.beta)

@@ -187,6 +187,12 @@ class TestPriorPdfCommand:
         )
         assert rc == 2
 
+    def test_scale_beyond_the_double_range_exits_2(self, capsys):
+        rc = cli.main(["prior-pdf", "--xbar-r", "1", "--w", "1e10", "--beta", "1e-6"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds the double range" in err
+
     def test_infinite_weight_exits_2(self, capsys):
         rc = cli.main(["prior-pdf", "--xbar-r", "1", "--w", "inf", "--beta", "1"])
         assert rc == 2
@@ -340,6 +346,10 @@ class TestCalibrateBCommand:
         assert cli.main(["calibrate-b", "3", "2", "10000", "7", "--out", str(cache)]) == 0
         assert capsys.readouterr().out == first
         assert cache.read_text() == content  # reused, not re-appended
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["calibrate-b", "3", "3", "10000", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
 
     def test_degenerate_design_exits_3(self, capsys):
         rc = cli.main(["calibrate-b", "3", "1", "10000", "7"])

@@ -355,6 +355,10 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_B(3, 5, 10**4, 1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            calibrate_B(3, 3, 10**4, -1)
+
 
 class TestUnbiasedBeta:
     def test_identity_when_factor_is_one(self):

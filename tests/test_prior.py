@@ -86,6 +86,11 @@ class TestHyperA:
             reference = mp.gamma(mp.mpf(w)) / mp.gamma(mp.mpf(w) - 1 / mp.mpf(beta))
             assert math.isclose(hyper_a(1.0, w, beta), float(reference), rel_tol=1e-12), (w, beta)
 
+    @pytest.mark.parametrize("xbar_R,w,beta", [(1.0, 1e10, 1e-6), (1e300, 1e10, 0.05)])
+    def test_ratio_beyond_the_double_range_raises_value_error(self, xbar_R, w, beta):
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            hyper_a(xbar_R, w, beta)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_and_nonfinite_weight(self, bad):
         with pytest.raises(ValueError):

@@ -169,12 +169,99 @@ class TestRunCell:
         with pytest.raises(ValueError, match="'custom'"):
             run_cell(cfg, case, WRule.const_over_beta(1.1))
 
+    def test_unknown_rule_label_stops_the_run_before_any_cell(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate, "run_cell", lambda *args, **kwargs: calls.append(args))
+        cfg = ExperimentConfig(
+            true_beta=2.0, n=3, r=3, seed=1, prior_cases=("I", "II", "III"),
+            w_rules=("1.1/beta", "1.4/beta", "bogus"),
+        )
+        with pytest.raises(InputValidationError, match="'bogus'"):
+            run_experiment(cfg)
+        assert calls == []
+
     def test_censored_design_runs(self):
         cfg = ExperimentConfig(true_beta=1.0, n=5, r=3, seed=5, replications=4)
         case = build_case("IV", 1.0)
         m_x, m_beta = run_cell(cfg, case, resolve_w_rule("1.4/beta", case.interval), 1)
         assert m_x.count == 4
         assert case.interval.beta1 < m_beta.bias + 1.0 < case.interval.beta2
+
+
+def _key_word(rng):
+    """A key int: below 2**32 half the time, otherwise up to 100 bits wide."""
+    if rng.random() < 0.5:
+        return int(rng.integers(0, 2**32))
+    return int.from_bytes(rng.bytes(13), "little") >> int(rng.integers(4, 104 - 32))
+
+
+class TestReplicationUniforms:
+    """The one-pass draws of a cell or ladder row against numpy's own chain,
+    one ``replication_rng`` per row; equality is exact."""
+
+    def test_rows_are_the_replication_substreams(self):
+        rng = np.random.default_rng(20261018)
+        for stack in range(220):
+            path = [_key_word(rng) for _ in range(int(rng.integers(0, 5)))]
+            seed = 0 if stack % 10 == 0 else _key_word(rng)
+            # log-uniform stack heights keep the oracle loop short; two full 2000-row stacks
+            m = 2000 if stack in (0, 1) else int(np.exp(rng.uniform(0.0, np.log(2000.0))))
+            n = int(rng.integers(1, 41))
+            got = simulate._replication_uniforms(n, m, seed, *path)
+            want = np.array([replication_rng(seed, *path, i).random(n) for i in range(m)])
+            assert got.shape == (m, n) and got.dtype == np.float64
+            assert np.array_equal(got, want), (seed, path, m, n)
+
+    @pytest.mark.parametrize(
+        "seed,path",
+        [(0, ()), (0, (0, 0, 0)), (2**32 - 1, (2**32 - 1,)), (2**32, (1, 2)),
+         (7, (2**40, 3)), (3, (1, 2, 3, 4, 5, 6)), (2**99 + 5, (2**64, 2**33 + 1, 0, 9))],
+    )
+    def test_key_edges(self, seed, path):
+        got = simulate._replication_uniforms(40, 64, seed, *path)
+        want = np.array([np.random.default_rng([seed, *path, i]).random(40) for i in range(64)])
+        assert np.array_equal(got, want)
+
+    def test_rejects_negative_key(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate._replication_uniforms(3, 2, 1, -1)
+
+
+class TestGoldenValues:
+    """Exact reprs recorded before the draws were computed in one pass."""
+
+    def test_complete_mle_ladder(self):
+        assert repr(reproduce_table("4b", 200, 42).rows) == (
+            "((3, 3, 11.976385135752016, 2.1233726877287027, 0.8295335781616456, 0), "
+            "(5, 5, 7.544814846894722, 0.9252463692630448, 0.5527499727250721, 0), "
+            "(7, 7, 4.654996324790891, 0.6299071417149976, 0.44132872288365027, 0), "
+            "(10, 10, 2.9256732975041264, 0.43797229918330627, 0.3378146461953739, 0), "
+            "(15, 15, 1.418847168129908, 0.2374726280521555, 0.19999761691013843, 0), "
+            "(22, 22, 1.071850806235223, 0.19803604497193433, 0.175108853612311, 0), "
+            "(30, 30, 0.8526420747448652, 0.15841464668213803, 0.14396922642913407, 0))"
+        )
+
+    def test_censored_mle_ladder(self):
+        assert repr(reproduce_table("7b", 200, 42).rows) == (
+            "((5, 3, 10.016521561481044, 3.530840988556709, 1.2448337927830957, 0), "
+            "(10, 4, 5.038404790858595, 2.1161766634307937, 1.0151372701907442, 0), "
+            "(10, 6, 4.2727200242873105, 0.9258526121692051, 0.5798714940486691, 0), "
+            "(20, 8, 2.399631363389393, 0.6875341617181492, 0.4755838776119929, 0), "
+            "(20, 12, 1.8076074274808898, 0.42185641229702764, 0.3176554468809399, 0), "
+            "(40, 16, 1.3774126063981824, 0.32783632311056216, 0.2663755549946028, 0), "
+            "(40, 24, 1.0420441971458763, 0.22286569744896248, 0.19514831410837155, 0))"
+        )
+
+    def test_censored_bayes_cell(self):
+        cfg = simulate.table_config("7", 200, 42)
+        case = build_case("V", cfg.true_beta)
+        got = run_cell(cfg, case, resolve_w_rule("1.4/beta", case.interval), 1)
+        assert repr(got) == (
+            "(PerformanceMetrics(bias=1.6355643602769772, std_dev=0.8122315625251467, "
+            "rmse=1.8261409824463934, count=200, failures=0), "
+            "PerformanceMetrics(bias=0.16244028409915767, std_dev=0.01208718336911419, "
+            "rmse=0.16288936705633567, count=200, failures=0))"
+        )
 
 
 def estimate_loop(cfg, case, rule, rule_index, settings=None):

@@ -7,6 +7,7 @@ import pytest
 
 from weibayes.weibull import (
     ReliableLifeWeibull,
+    _inverse_transform,
     ShapeScaleWeibull,
     density,
     from_shape_scale,
@@ -159,6 +160,24 @@ class TestSample:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
             sample(PARAM_GRID[0], 0, np.random.default_rng(1))
+
+    def test_zero_uniform_maps_to_tiny(self):
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        tiny = np.finfo(float).tiny
+        for p in PARAM_GRID:
+            expected = p.x_R * (math.log(1.0 / tiny) / p.K) ** (1.0 / p.beta)
+            shared = _inverse_transform(p, np.array([[0.0, 0.5], [0.25, 0.0]]))
+            assert shared[0, 0] == shared[1, 1] == expected
+            assert (sample(p, 3, Zeros()) == expected).all()
+
+    def test_shared_transform_matches_sample(self):
+        for i, p in enumerate(PARAM_GRID):
+            rows = np.array([np.random.default_rng([i, j]).random(7) for j in range(5)])
+            draws = [sample(p, 7, np.random.default_rng([i, j])) for j in range(5)]
+            assert np.array_equal(_inverse_transform(p, rows), np.array(draws))
 
 
 class TestValidation:
