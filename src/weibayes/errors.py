@@ -35,4 +35,4 @@ class PriorDominanceWarning(UserWarning):
 
 
 class QuadratureConvergenceWarning(UserWarning):
-    """Panel refinement hit its limit before reaching the requested tolerance."""
+    """Adaptive quadrature reached its panel cap before the requested tolerance."""

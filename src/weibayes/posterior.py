@@ -19,29 +19,32 @@ integration variable), so they are recomputed at every node.  Everything is
 evaluated in log space by one kernel, ``_log_integrands``, which takes a
 stack of m samples with the same failure count (ln times of shape (m, n),
 ln P of shape (m,)) and returns the three log integrands at every node for
-every sample.  Each integral is a composite Gauss-Legendre sum taken as a
-log-sum-exp with the node maximum factored out, refined by panel doubling
-until two successive estimates agree to the requested tolerance.  Refinement
-is decided per sample: a sample that has converged leaves the stack, so it
-stops at the same level, with the same node count, as it would alone.
+every sample.  The nodes may be shared by the stack or differ per sample.
+
+Each integral is a sum of Gauss-Kronrod (G10/K21) panels taken in log space
+with the node maximum factored out.  A sample starts with one 21-node panel
+over the whole interval and bisects its worst panel, in QUADPACK QAG style,
+until the estimated relative error of each log integral, the summed
+|K - G| of its panels over the Kronrod total, is below ``rel_tol``, or until
+it reaches the panel cap.  The decision is per sample: a sample that has
+converged leaves the stack, so it stops with the same panels, and the same
+node count, as it would alone.
 :func:`estimate` is the one-sample case of :func:`estimate_many`, through
 which the simulation harness passes all replications of a cell at once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .censoring import CensoredSample, logsumexp
 from .errors import ElicitationConstraintError, PriorDominanceWarning, QuadratureConvergenceWarning
-from .prior import PriorSpec
+from .prior import PriorSpec, _log_gamma_ratio
 
 __all__ = [
     "QuadratureSettings",
@@ -53,40 +56,79 @@ __all__ = [
     "joint_posterior_pdf",
 ]
 
-# Upper bound on the (samples, nodes, items) power-sum array built per kernel
-# call; stacks are split into row blocks under it so that peak memory stays
-# bounded when many samples refine to the finest panel layouts.
-_KERNEL_BLOCK = 1 << 19
+# Gauss-Kronrod pair on [-1, 1] (QUADPACK qk21, Piessens et al. 1983): the
+# Kronrod nodes from 1 down to the centre with their 21-point weights, and the
+# 10-point Gauss weights of the nodes at odd positions, which are the Gauss
+# nodes.  Both rules share every evaluation.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077734318030685, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+def _gk21() -> tuple[np.ndarray, np.ndarray]:
+    """The 21 nodes, ascending, and weights (2, 21): Kronrod, Kronrod minus Gauss."""
+    half_gauss = np.zeros(11)
+    half_gauss[1::2] = _WG
+    nodes = np.concatenate([-np.array(_XGK), _XGK[-2::-1]])
+    kronrod = np.concatenate([_WGK, _WGK[-2::-1]])
+    gauss = np.concatenate([half_gauss, half_gauss[-2::-1]])
+    return nodes, np.stack([kronrod, kronrod - gauss])
+
+
+_GK_NODES, _GK_WEIGHTS = _gk21()
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Panel layout and refinement policy for the shape integrals."""
+    """Error target and panel cap of the adaptive shape integrals.
 
-    panels: int = 16
-    nodes_per_panel: int = 10
+    ``rel_tol`` bounds the estimated relative error of each log integral;
+    a sample that has not met it with ``max_panels`` panels is reported as
+    not converged.  The default cap allows at most 4,179 nodes per sample.
+    """
+
     rel_tol: float = 1e-8
-    max_refinements: int = 8
+    max_panels: int = 100
 
     def __post_init__(self) -> None:
-        if self.panels < 1 or self.nodes_per_panel < 1 or self.max_refinements < 0:
-            raise ValueError("panel counts and refinement limit must be positive")
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
+        if self.max_panels < 1:
+            raise ValueError("max_panels must be at least 1")
 
 
 @dataclass(frozen=True)
 class PosteriorEstimate:
-    """Point estimates plus the log-integral diagnostics that produced them."""
+    """Point estimates plus the log-integral diagnostics that produced them.
+
+    ``error_estimate`` is the largest, over the three integrals, of the
+    summed |Kronrod - Gauss| differences relative to the Kronrod total.
+    """
 
     x_R_tilde: float
     beta_tilde: float
     log_I: tuple[float, float, float]
     node_count: int
+    error_estimate: float
     converged: bool
-
-
-_gauss_nodes = functools.cache(leggauss)
 
 
 def _sample_rows(sample: CensoredSample) -> tuple[np.ndarray, np.ndarray, int]:
@@ -98,25 +140,28 @@ def _sample_rows(sample: CensoredSample) -> tuple[np.ndarray, np.ndarray, int]:
 def _log_a_and_A(
     betas: np.ndarray, spec: PriorSpec, log_times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w and ln a at the nodes, shape (k,), and ln A per sample, shape (m, k).
+    """w and ln a at the nodes, and ln A per sample, shape (m, k).
 
-    Rejects nodes where the weight rule breaks w > 1/beta.
+    ``betas`` holds k nodes shared by every sample, shape (k,), or k nodes
+    per sample, shape (m, k); w and ln a take its shape.  Rejects nodes where
+    the weight rule breaks w > 1/beta.
     """
     w = np.asarray(spec.w_rule(betas), dtype=float)
-    margin = w - 1.0 / betas
+    inv_beta = 1.0 / betas
+    margin = w - inv_beta
     if np.any(margin <= 0.0):
-        bad = float(betas[np.argmin(margin)])
+        bad = float(betas.flat[np.argmin(margin)])
         raise ElicitationConstraintError(
             f"weight rule violates w > 1/beta at beta = {bad:.6g} inside the integrand"
         )
-    log_a = math.log(spec.xbar_R) + gammaln(w) - gammaln(w - 1.0 / betas)
+    log_a = math.log(spec.xbar_R) + _log_gamma_ratio(w, inv_beta)
     prior_part = betas * log_a
     if log_times.shape[1]:
         # ln S(beta) per sample; items on the leading axis keep the reduction elementwise
         log_S = logsumexp(log_times.T[:, :, None] * betas, axis=0)
         log_A = np.logaddexp(prior_part, math.log(spec.K) + log_S)
     else:
-        log_A = np.broadcast_to(prior_part, (log_times.shape[0], betas.size))
+        log_A = np.broadcast_to(prior_part, (log_times.shape[0], betas.shape[-1]))
     return w, log_a, log_A
 
 
@@ -125,8 +170,8 @@ def _log_integrands(
 ) -> np.ndarray:
     """Log integrands of I_0, I_1, I_2, shape (3, m, k).
 
-    ``betas`` holds k shape nodes; ``log_times`` (m, n) and ``log_P`` (m,)
-    describe m samples that all have r failures.
+    ``betas`` holds k shape nodes, shape (k,) or (m, k); ``log_times``
+    (m, n) and ``log_P`` (m,) describe m samples that all have r failures.
     """
     w, log_a, log_A = _log_a_and_A(betas, spec, log_times)
     log_beta = np.log(betas)
@@ -147,61 +192,72 @@ def log_integrand(beta: float, h: int, spec: PriorSpec, sample: CensoredSample) 
     return float(_log_integrands(np.array([float(beta)]), spec, *_sample_rows(sample))[h, 0, 0])
 
 
-def _composite_log_integrals(
-    spec: PriorSpec,
-    log_times: np.ndarray,
-    log_P: np.ndarray,
-    r: int,
-    panels: int,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Log composite Gauss-Legendre sums of I_0, I_1, I_2 per sample, shape (3, m)."""
-    iv = spec.interval
-    edges = np.linspace(iv.beta1, iv.beta2, panels + 1)
-    half = 0.5 * (iv.beta2 - iv.beta1) / panels
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    betas = (centers[:, None] + half * nodes[None, :]).ravel()
-    log_w = np.tile(np.log(weights * half), panels)
-    m, n = log_times.shape
-    rows = max(1, _KERNEL_BLOCK // (betas.size * max(n, 1)))
-    out = np.empty((3, m), dtype=float)
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
-        logf = _log_integrands(betas, spec, log_times[block], log_P[block], r)
-        out[:, block] = logsumexp(logf + log_w, axis=-1)
-    return out
+def _panel_log_sums(logf: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """ln K and ln |K - G| of GK21 panels, shape logf.shape[:-1] + (2,).
+
+    ``logf`` holds the log integrand at the 21 nodes of each panel on its
+    last axis; ``half`` is the panels' half-width, broadcast against
+    logf.shape[:-1].
+    """
+    peak = logf.max(axis=-1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    # an explicit sum, not a matmul, so a row's sums do not depend on the stack size
+    sums = (np.exp(logf - peak)[..., None, :] * _GK_WEIGHTS).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(sums)) + (peak + np.log(half)[..., None])
 
 
-def _integrate_all(
+def _integrate(
     spec: PriorSpec, log_times: np.ndarray, log_P: np.ndarray, r: int, settings: QuadratureSettings
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log integrals (3, m), node counts (m,) and convergence flags (m,).
+    """Log integrals (3, m), node counts (m,) and error estimates (m,).
 
-    Every sample refines until two successive panel layouts agree to
-    ``rel_tol``; converged samples leave the active set.
+    Every sample starts with one GK21 panel over the shape interval.  Its
+    error estimate is the largest over h of sum |K_p - G_p| / sum K_p over
+    its panels.  A sample leaves the stack once that is below ``rel_tol`` or
+    it has ``max_panels`` panels; otherwise it bisects the panel with the
+    largest |K_p - G_p| relative to its total.  All samples still on the
+    stack have the same panel count, so each step evaluates 2 x 21 nodes per
+    sample and the arrays stay rectangular.
     """
-    nodes, weights = _gauss_nodes(settings.nodes_per_panel)
-    panels = settings.panels
-    current = _composite_log_integrals(spec, log_times, log_P, r, panels, nodes, weights)
+    iv = spec.interval
     m = log_times.shape[0]
-    node_count = np.full(m, panels * settings.nodes_per_panel)
-    converged = np.zeros(m, dtype=bool)
-    active = np.arange(m)
-    for _ in range(settings.max_refinements):
-        if active.size == 0:
+    mid = np.full((m, 1), iv.midpoint)
+    half = np.full((m, 1), 0.5 * iv.width)
+    logf = _log_integrands(iv.midpoint + 0.5 * iv.width * _GK_NODES, spec, log_times, log_P, r)
+    sums = _panel_log_sums(logf[:, :, None, :], half)
+    log_K, log_D = sums[..., 0], sums[..., 1]  # (3, rows, panels)
+    log_I = np.empty((3, m))
+    node_count = np.empty(m, dtype=int)
+    error = np.empty(m)
+    rows = np.arange(m)
+    for panels in range(1, settings.max_panels + 1):
+        total = logsumexp(log_K, axis=-1)
+        err = np.exp(np.max(logsumexp(log_D, axis=-1) - total, axis=0))
+        done = (err < settings.rel_tol) | (panels == settings.max_panels)
+        log_I[:, rows[done]] = total[:, done]
+        node_count[rows[done]] = 21 * (2 * panels - 1)
+        error[rows[done]] = err[done]
+        if done.all():
             break
-        panels *= 2
-        refined = _composite_log_integrals(
-            spec, log_times[active], log_P[active], r, panels, nodes, weights
-        )
-        node_count[active] += panels * settings.nodes_per_panel
-        # log-value differences are relative differences of the integrals
-        done = np.max(np.abs(refined - current[:, active]), axis=0) < settings.rel_tol
-        current[:, active] = refined
-        converged[active[done]] = True
-        active = active[~done]
-    return current, node_count, converged
+        go = ~done
+        rows, mid, half, log_K, log_D = rows[go], mid[go], half[go], log_K[:, go], log_D[:, go]
+        worst = np.argmax(np.max(log_D - total[:, go, None], axis=0), axis=-1)
+        at = np.arange(rows.size)
+        quarter = 0.5 * half[at, worst]
+        centers = mid[at, worst][:, None] + quarter[:, None] * np.array([-1.0, 1.0])
+        betas = (centers[:, :, None] + quarter[:, None, None] * _GK_NODES).reshape(rows.size, 42)
+        logf = _log_integrands(betas, spec, log_times[rows], log_P[rows], r)
+        sums = _panel_log_sums(logf.reshape(3, rows.size, 2, 21), quarter[:, None])
+        mid[at, worst] = centers[:, 0]
+        half[at, worst] = quarter
+        log_K[:, at, worst] = sums[:, :, 0, 0]
+        log_D[:, at, worst] = sums[:, :, 0, 1]
+        mid = np.concatenate([mid, centers[:, 1:]], axis=1)
+        half = np.concatenate([half, quarter[:, None]], axis=1)
+        log_K = np.concatenate([log_K, sums[:, :, 1:, 0]], axis=-1)
+        log_D = np.concatenate([log_D, sums[:, :, 1:, 1]], axis=-1)
+    return log_I, node_count, error
 
 
 def _warn_if_prior_dominant(spec: PriorSpec, r: int) -> None:
@@ -221,12 +277,12 @@ def _warn_if_prior_dominant(spec: PriorSpec, r: int) -> None:
 def _sample_log_I(
     spec: PriorSpec, sample: CensoredSample, settings: QuadratureSettings, what: str
 ) -> np.ndarray:
-    """Log integrals (3,) of one sample; warns, naming ``what``, if refinement did not converge."""
-    log_I, _, converged = _integrate_all(spec, *_sample_rows(sample), settings)
-    if not converged[0]:
+    """Log integrals (3,) of one sample; warns, naming ``what``, if they missed ``rel_tol``."""
+    log_I, _, error = _integrate(spec, *_sample_rows(sample), settings)
+    if not error[0] < settings.rel_tol:
         warnings.warn(
-            f"{what} did not reach rel_tol = {settings.rel_tol:g} within "
-            f"{settings.max_refinements} refinements",
+            f"{what} reached an estimated relative error of {error[0]:.3g}, not "
+            f"rel_tol = {settings.rel_tol:g}, with the cap of {settings.max_panels} panels",
             QuadratureConvergenceWarning,
             stacklevel=3,
         )
@@ -236,7 +292,7 @@ def _sample_log_I(
 def integrate_Ih(
     h: int, spec: PriorSpec, sample: CensoredSample, settings: QuadratureSettings | None = None
 ) -> float:
-    """Log of I_h over the shape interval; warns if refinement did not converge."""
+    """Log of I_h over the shape interval; warns if it missed the tolerance."""
     if h not in (0, 1, 2):
         raise ValueError(f"h must be 0, 1 or 2, got {h!r}")
     return float(_sample_log_I(spec, sample, settings or QuadratureSettings(), f"integral I_{h}")[h])
@@ -245,7 +301,7 @@ def integrate_Ih(
 def _estimates(
     spec: PriorSpec, log_times: np.ndarray, log_P: np.ndarray, r: int, settings: QuadratureSettings
 ) -> list[PosteriorEstimate]:
-    log_I, node_count, converged = _integrate_all(spec, log_times, log_P, r, settings)
+    log_I, node_count, error = _integrate(spec, log_times, log_P, r, settings)
     x_R = np.exp(log_I[1] - log_I[0])
     beta = np.exp(log_I[2] - log_I[0])
     return [
@@ -254,7 +310,8 @@ def _estimates(
             beta_tilde=float(beta[i]),
             log_I=(float(log_I[0, i]), float(log_I[1, i]), float(log_I[2, i])),
             node_count=int(node_count[i]),
-            converged=bool(converged[i]),
+            error_estimate=float(error[i]),
+            converged=bool(error[i] < settings.rel_tol),
         )
         for i in range(log_times.shape[0])
     ]

@@ -192,11 +192,39 @@ def beta_prior_pdf(beta: float, interval: BetaInterval) -> float:
     return 0.0
 
 
+# Denominator argument from which _log_gamma_ratio switches to its Stirling
+# form.  Below it the plain log-gamma difference is kept bit for bit; that
+# difference loses about eps * w * ln(w) to cancellation, which stays under
+# 1e-13 below the cutoff but reaches 2e-3 at w = 1e12.
+_STIRLING_FROM = 100.0
+
+
+def _log_gamma_ratio(w, d):
+    """ln(Gamma(w) / Gamma(w - d)) for w > d > 0, elementwise.
+
+    Once w - d >= _STIRLING_FROM both log-gammas take their Stirling series,
+    whose difference d ln w - (w - d - 1/2) log1p(-d/w) - d + ... keeps the
+    small terms apart instead of subtracting two numbers of size w ln w.
+    """
+    z = w - d
+    plain = gammaln(w) - gammaln(z)
+    big = z >= _STIRLING_FROM
+    if not np.any(big):
+        return plain
+    stirling = (
+        d * np.log(w) - (z - 0.5) * np.log1p(-d / w) - d
+        + (1.0 / w - 1.0 / z) / 12.0 - (1.0 / w**3 - 1.0 / z**3) / 360.0
+    )
+    return np.where(big, stirling, plain)
+
+
 def hyper_a(xbar_R: float, w: float, beta: float) -> float:
     """Scale hyperparameter giving the IGG conditional mean xbar_R.
 
-    a = xbar_R * Gamma(w) / Gamma(w - 1/beta); evaluated through a log-gamma
-    difference so values survive w arbitrarily close to the 1/beta boundary.
+    a = xbar_R * Gamma(w) / Gamma(w - 1/beta); evaluated as the exponential of
+    ln xbar_R plus a log-gamma ratio, so values survive w arbitrarily close to
+    the 1/beta boundary, and w so large that Gamma(w) / Gamma(w - 1/beta)
+    alone would overflow.
     """
     if not (xbar_R > 0.0 and math.isfinite(xbar_R)):
         raise ValueError(f"xbar_R must be positive and finite, got {xbar_R!r}")
@@ -208,7 +236,7 @@ def hyper_a(xbar_R: float, w: float, beta: float) -> float:
             f"got w = {w:.6g} <= 1/beta = {1.0 / beta:.6g} at beta = {beta:.6g}"
         )
     try:
-        a = xbar_R * math.exp(gammaln(w) - gammaln(w - 1.0 / beta))
+        a = math.exp(math.log(xbar_R) + float(_log_gamma_ratio(w, 1.0 / beta)))
     except OverflowError:
         a = math.inf
     if a == math.inf:

@@ -20,17 +20,17 @@ def oracle_log_integrands(betas, spec, sample):
     w = np.asarray(spec.w_rule(b), dtype=float)
     a = spec.xbar_R * np.exp(gammaln(w) - gammaln(w - 1.0 / b))
     times = np.asarray(sample.times, dtype=float)
-    if times.size:
-        S = (times[None, :] ** b[:, None]).sum(axis=1)
-    else:
-        S = np.zeros_like(b)
+    # power sums of the times over the largest one, so times up to 1e200 and
+    # shapes up to 20 stay in range; ln A then gets the factor back
+    scale = float(times.max()) if times.size else 1.0
+    S = ((times[None, :] / scale) ** b[:, None]).sum(axis=1)
     K = math.log(1.0 / spec.R)
-    A = a**b + K * S
+    log_A = b * math.log(scale) + np.log((a / scale) ** b + K * S)
     log_P = float(np.log(np.asarray(sample.failure_times, dtype=float)).sum()) if sample.r else 0.0
     r = sample.r
     base = r * np.log(b) + b * w * np.log(a) + b * log_P - gammaln(w)
-    l0 = base - (r + w) * np.log(A) + gammaln(r + w)
-    l1 = base - (r + w - 1.0 / b) * np.log(A) + gammaln(r + w - 1.0 / b)
+    l0 = base - (r + w) * log_A + gammaln(r + w)
+    l1 = base - (r + w - 1.0 / b) * log_A + gammaln(r + w - 1.0 / b)
     return np.vstack([l0, l1, l0 + np.log(b)])
 
 
@@ -41,6 +41,20 @@ def trapezoid_log_integrals(spec, sample, points=10**6):
     logf = oracle_log_integrands(betas, spec, sample)
     peak = logf.max(axis=1, keepdims=True)
     vals = np.trapezoid(np.exp(logf - peak), betas, axis=1)
+    return peak[:, 0] + np.log(vals)
+
+
+def gauss_legendre_log_integrals(spec, sample, panels=20_000, nodes=20):
+    """Brute-force composite Gauss-Legendre values of (log I_0, log I_1, log I_2),
+    for integrands too steep for the trapezoid rule."""
+    iv = spec.interval
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(iv.beta1, iv.beta2, panels + 1)
+    half = 0.5 * np.diff(edges)
+    betas = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * x).ravel()
+    logf = oracle_log_integrands(betas, spec, sample)
+    peak = logf.max(axis=1, keepdims=True)
+    vals = np.exp(logf - peak) @ (half[:, None] * wts).ravel()
     return peak[:, 0] + np.log(vals)
 
 

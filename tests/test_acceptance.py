@@ -260,7 +260,7 @@ def test_criterion_6f_rmse_identity_every_emitted_cell(bayes_case_i_beta1, mle_r
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PriorDominanceWarning)
-        table = reproduce_table(6, 3, DEFAULT_SEED, settings=QuadratureSettings(panels=8))
+        table = reproduce_table(6, 3, DEFAULT_SEED, settings=QuadratureSettings(max_panels=8))
     checked = 0
     worst = 0.0
     for m in ALL_CELL_METRICS:

@@ -54,6 +54,14 @@ class TestEstimateCommand:
         assert rc == 0
         assert math.isclose(float(out["x_R_tilde"]), 1.0, rel_tol=1e-6)
         assert math.isclose(float(out["beta_tilde"]), 2.0, rel_tol=1e-6)
+        assert int(out["node_count"]) > 0 and 0.0 <= float(out["error_estimate"]) < 1e-8
+
+    def test_unreachable_tolerance_exits_4_with_the_error_reached(self, capsys, sample_path, prior_path):
+        rc = cli.main(["estimate", "--sample", sample_path, "--prior", prior_path, "--rel-tol", "1e-20"])
+        out = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert rc == 4
+        assert out["converged"] == "false" and float(out["error_estimate"]) > 1e-20
+        assert int(out["node_count"]) == 21 * (2 * posterior.QuadratureSettings().max_panels - 1)
 
     def test_malformed_csv_exits_2_with_line_number(self, capsys, tmp_path, prior_path):
         bad = tmp_path / "bad.csv"

@@ -8,7 +8,9 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+import weibayes.prior as prior_module
 from oracles import grid_rule_violation, grid_w_max, igg_moment_quad
 from weibayes import posterior
 from weibayes.censoring import CensoredSample, type2_censor
@@ -90,6 +92,30 @@ class TestHyperA:
     def test_ratio_beyond_the_double_range_raises_value_error(self, xbar_R, w, beta):
         with pytest.raises(ValueError, match="exceeds the double range"):
             hyper_a(xbar_R, w, beta)
+
+    @pytest.mark.parametrize("w", [1e8, 1e12, 1e15])
+    def test_large_weight_matches_exact_products(self, w):
+        # Gamma(w) / Gamma(w - k) = (w - 1) ... (w - k); a plain log-gamma
+        # difference is off by 2.1e-3 at w = 1e12 and 331% at w = 1e15
+        assert math.isclose(hyper_a(1.0, w, 1.0), w - 1.0, rel_tol=1e-12)
+        product = math.prod(w - k for k in range(1, 11))
+        assert math.isclose(hyper_a(1.0, w, 0.1), product, rel_tol=1e-12)
+
+    def test_ratio_beyond_the_double_range_with_a_small_anticipated_life(self):
+        # Gamma(w) / Gamma(w - 10) ~ w**10 ~ e**715 overflows on its own, but a
+        # does not; w - 10 rounds to w, so the plain difference gives ratio 1
+        w = math.exp(71.5)
+        expected = math.exp(math.log(1e-10) + 10.0 * math.log(w))
+        assert math.isclose(hyper_a(1e-10, w, 0.1), expected, rel_tol=1e-12)
+
+    def test_log_gamma_ratio_keeps_the_plain_difference_below_the_cutoff(self):
+        rng = np.random.default_rng(3)
+        d = 1.0 / rng.uniform(0.05, 5.0, 2000)
+        w = d + rng.uniform(1e-9, prior_module._STIRLING_FROM, 2000)
+        plain = w - d < prior_module._STIRLING_FROM
+        got = prior_module._log_gamma_ratio(w, d)
+        assert plain.sum() > 1000
+        assert np.array_equal(got[plain], (gammaln(w) - gammaln(w - d))[plain])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_and_nonfinite_weight(self, bad):
