@@ -61,10 +61,8 @@ def format_mle_record(result: mle.MleResult) -> str:
     )
 
 
-def _quad_settings(args) -> QuadratureSettings:
-    if args.rel_tol is None:
-        return QuadratureSettings()
-    return QuadratureSettings(rel_tol=args.rel_tol)
+def _quad_settings(args) -> QuadratureSettings | None:
+    return None if args.rel_tol is None else QuadratureSettings(rel_tol=args.rel_tol)
 
 
 def _cmd_estimate(args) -> int:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .censoring import CensoredSample, type2_log_times
 from .errors import NoFiniteMleError
+from .weibull import _log_inverse
 
 __all__ = [
     "CACHE_FIELDS",
@@ -104,6 +105,7 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     """The MLE core on rows of ln x (N, n) with their mean ln x over r failures (N,):
     (beta_hat, ln alpha_hat, ln x_R_hat, g(beta_hat), iterations, has_root).  A
     row without a root reports the bracket end its score points to."""
+    log_K = math.log(_log_inverse(R))
     top = log_times.max(axis=1)
     below = log_times - top[:, None]
     offset = mean_log_fail - top
@@ -145,7 +147,7 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     beta = np.exp(u)
     log_S = beta * top + np.log(np.exp(beta[:, None] * below).sum(axis=1))
     log_alpha = (log_S - math.log(r)) / beta
-    log_x_R = log_alpha + math.log(math.log(1.0 / R)) / beta
+    log_x_R = log_alpha + log_K / beta
     return beta, log_alpha, log_x_R, g, iterations, has_root
 
 
@@ -171,8 +173,6 @@ def profile_equation(beta: float, sample: CensoredSample) -> float:
 
 def fit(sample: CensoredSample, R: float) -> MleResult:
     """Maximum-likelihood fit of (alpha, beta) and the implied reliable life."""
-    if not (0.0 < R < 1.0):
-        raise ValueError(f"R must lie strictly inside (0, 1), got {R!r}")
     _validate_admissible(sample)
     st = sample.stats
     beta_hat, log_alpha, log_x_R, g, iterations, has_root = (

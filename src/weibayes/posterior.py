@@ -29,8 +29,10 @@ until the estimated relative error of each log integral, the summed
 it reaches the panel cap.  The decision is per sample: a sample that has
 converged leaves the stack, so it stops with the same panels, and the same
 node count, as it would alone.
-:func:`estimate` is the one-sample case of :func:`estimate_many`, through
-which the simulation harness passes all replications of a cell at once.
+One private core runs a stack of samples and returns per-sample arrays:
+the simulation harness masks them for all replications of a cell at once,
+:func:`estimate_many` turns each row into a :class:`PosteriorEstimate`, and
+:func:`estimate` is the same core on a one-row stack.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def _warn_if_prior_dominant(spec: PriorSpec, r: int) -> None:
             f"prior weight w reaches {w_max:.3g} >= r = {r} failures; "
             "the prior may dominate what the sample can contribute",
             PriorDominanceWarning,
-            stacklevel=3,
+            stacklevel=4,  # past the core and the public function to their caller
         )
 
 
@@ -298,23 +300,23 @@ def integrate_Ih(
     return float(_sample_log_I(spec, sample, settings or QuadratureSettings(), f"integral I_{h}")[h])
 
 
-def _estimates(
-    spec: PriorSpec, log_times: np.ndarray, log_P: np.ndarray, r: int, settings: QuadratureSettings
-) -> list[PosteriorEstimate]:
+def _posterior_stack(
+    spec: PriorSpec, log_times: np.ndarray, log_P: np.ndarray, r: int, settings: QuadratureSettings | None
+) -> tuple[np.ndarray, ...]:
+    """The posterior core on a stack of m samples with r failures: arrays
+    (x_R_tilde, beta_tilde, log_I (3, m), node_count, error_estimate, converged)."""
+    settings = settings or QuadratureSettings()
+    _warn_if_prior_dominant(spec, r)
     log_I, node_count, error = _integrate(spec, log_times, log_P, r, settings)
-    x_R = np.exp(log_I[1] - log_I[0])
-    beta = np.exp(log_I[2] - log_I[0])
-    return [
-        PosteriorEstimate(
-            x_R_tilde=float(x_R[i]),
-            beta_tilde=float(beta[i]),
-            log_I=(float(log_I[0, i]), float(log_I[1, i]), float(log_I[2, i])),
-            node_count=int(node_count[i]),
-            error_estimate=float(error[i]),
-            converged=bool(error[i] < settings.rel_tol),
-        )
-        for i in range(log_times.shape[0])
-    ]
+    x_R, beta = np.exp(log_I[1:] - log_I[0])
+    return x_R, beta, log_I, node_count, error, error < settings.rel_tol
+
+
+def _records(x_R, beta, log_I, node_count, error, converged) -> list[PosteriorEstimate]:
+    """The core's arrays as one PosteriorEstimate of built-in numbers per sample."""
+    rows = zip(x_R.tolist(), beta.tolist(), map(tuple, log_I.T.tolist()),
+               node_count.tolist(), error.tolist(), converged.tolist())
+    return [PosteriorEstimate(*row) for row in rows]
 
 
 def estimate_many(
@@ -338,18 +340,14 @@ def estimate_many(
             f"need log_times of shape (m, n) and log_P of shape (m,), got "
             f"{log_times.shape} and {log_P.shape}"
         )
-    settings = settings or QuadratureSettings()
-    _warn_if_prior_dominant(spec, r)
-    return _estimates(spec, log_times, log_P, r, settings)
+    return _records(*_posterior_stack(spec, log_times, log_P, r, settings))
 
 
 def estimate(
     spec: PriorSpec, sample: CensoredSample, settings: QuadratureSettings | None = None
 ) -> PosteriorEstimate:
     """Posterior means of the reliable life and the shape, with diagnostics."""
-    settings = settings or QuadratureSettings()
-    _warn_if_prior_dominant(spec, sample.r)
-    return _estimates(spec, *_sample_rows(sample), settings)[0]
+    return _records(*_posterior_stack(spec, *_sample_rows(sample), settings))[0]
 
 
 def joint_posterior_pdf(

@@ -29,6 +29,7 @@ from scipy.special import gammaln
 
 from .censoring import CensoredSample
 from .errors import ElicitationConstraintError, InputValidationError
+from .weibull import _log_inverse
 
 __all__ = [
     "BetaInterval",
@@ -160,13 +161,12 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if not (self.xbar_R > 0.0 and math.isfinite(self.xbar_R)):
             raise ValueError(f"xbar_R must be positive and finite, got {self.xbar_R!r}")
-        if not (0.0 < self.R < 1.0):
-            raise ValueError(f"R must lie strictly inside (0, 1), got {self.R!r}")
+        _log_inverse(self.R)
         _check_rule_admissible(self.w_rule, self.interval)
 
     @property
     def K(self) -> float:
-        return math.log(1.0 / self.R)
+        return _log_inverse(self.R)
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,18 @@ def _log_gamma_ratio(w, d):
     return np.where(big, stirling, plain)
 
 
+def _exp_in_range(log_value: float, what: str, **at: float) -> float:
+    """exp(log_value), or a ValueError naming ``what`` and ``at`` beyond the double range."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        where = ", ".join(f"{name} = {v:.6g}" for name, v in at.items())
+        raise ValueError(f"{what} exceeds the double range at {where}")
+    return value
+
+
 def hyper_a(xbar_R: float, w: float, beta: float) -> float:
     """Scale hyperparameter giving the IGG conditional mean xbar_R.
 
@@ -235,14 +247,8 @@ def hyper_a(xbar_R: float, w: float, beta: float) -> float:
             f"the anticipated-reliable-life conversion requires w > 1/beta; "
             f"got w = {w:.6g} <= 1/beta = {1.0 / beta:.6g} at beta = {beta:.6g}"
         )
-    try:
-        a = math.exp(math.log(xbar_R) + float(_log_gamma_ratio(w, 1.0 / beta)))
-    except OverflowError:
-        a = math.inf
-    if a == math.inf:
-        raise ValueError(f"a = xbar_R * Gamma(w) / Gamma(w - 1/beta) exceeds the double range "
-                         f"at xbar_R = {xbar_R:.6g}, w = {w:.6g}, beta = {beta:.6g}")
-    return a
+    return _exp_in_range(math.log(xbar_R) + float(_log_gamma_ratio(w, 1.0 / beta)),
+                         "a = xbar_R * Gamma(w) / Gamma(w - 1/beta)", xbar_R=xbar_R, w=w, beta=beta)
 
 
 def igg_pdf(x_R: float, a: float, w: float, beta: float) -> float:
@@ -250,14 +256,12 @@ def igg_pdf(x_R: float, a: float, w: float, beta: float) -> float:
     for name, v in (("x_R", x_R), ("a", a), ("w", w), ("beta", beta)):
         if not (v > 0.0 and math.isfinite(v)):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
-    log_pdf = (
-        math.log(beta)
-        + beta * w * math.log(a)
-        - gammaln(w)
-        - (beta * w + 1.0) * math.log(x_R)
-        - math.exp(-beta * (math.log(x_R) - math.log(a)))
-    )
-    return math.exp(log_pdf)
+    try:
+        tail = math.exp(-beta * (math.log(x_R) - math.log(a)))
+    except OverflowError:
+        return 0.0  # (x_R/a)**-beta beyond the double range: exp(-tail) underflows
+    log_pdf = math.log(beta) + beta * w * math.log(a) - gammaln(w) - (beta * w + 1.0) * math.log(x_R)
+    return _exp_in_range(log_pdf - tail, "the IGG density", x_R=x_R, a=a, w=w, beta=beta)
 
 
 def conditional_prior(spec: PriorSpec, beta: float) -> tuple[float, float]:
@@ -279,8 +283,7 @@ def posterior_conditional_params(
     The second element is the updated value of a**beta (call it A), not a
     itself; the updated scale is A**(1/beta).
     """
-    K = math.log(1.0 / R)
-    return w + sample.r, a**beta + K * sample.stats.pow_sum(beta)
+    return w + sample.r, a**beta + _log_inverse(R) * sample.stats.pow_sum(beta)
 
 
 def prior_from_virtual_sample(v: VirtualSample, R: float, beta: float) -> tuple[float, float]:
@@ -292,9 +295,8 @@ def prior_from_virtual_sample(v: VirtualSample, R: float, beta: float) -> tuple[
     """
     if v.r_prime == 0:
         raise ValueError("virtual sample must contain at least one time")
-    K = math.log(1.0 / R)
-    s_prime = sum(t**beta for t in sorted(v.times))
-    return float(v.r_prime), (K * s_prime) ** (1.0 / beta)
+    K = _log_inverse(R)
+    return float(v.r_prime), (K * sum(t**beta for t in sorted(v.times))) ** (1.0 / beta)
 
 
 def read_json(path):

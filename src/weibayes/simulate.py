@@ -205,12 +205,13 @@ def metrics(estimates, true_value: float) -> PerformanceMetrics:
     )
 
 
-def _summary(kept, true_value: float, failures: int) -> PerformanceMetrics:
-    """Metrics of the kept estimates with the excluded count; count 0 and nan
-    bias, std_dev and rmse when nothing is kept."""
-    if len(kept) == 0:
+def _summary(values: np.ndarray, ok: np.ndarray, true_value: float) -> PerformanceMetrics:
+    """Metrics of the estimates kept by ``ok``, with the excluded count in
+    ``failures``; count 0 and nan bias, std_dev and rmse when nothing is kept."""
+    failures = ok.size - int(np.count_nonzero(ok))
+    if failures == ok.size:
         return PerformanceMetrics(math.nan, math.nan, math.nan, count=0, failures=failures)
-    return replace(metrics(kept, true_value), failures=failures)
+    return replace(metrics(values[ok], true_value), failures=failures)
 
 
 def replication_rng(seed: int, *path: int) -> np.random.Generator:
@@ -299,11 +300,13 @@ def run_cell(
     """Replicate one (case, weight rule) cell of a Bayes table.
 
     Each replication draws n lifetimes from the true model and censors at r;
-    all replications are then estimated in one batched quadrature pass.
-    Replications whose quadrature fails to converge are excluded and counted
-    in ``failures``; when none converges, both metrics have count 0 and nan
-    bias, std_dev and rmse.  The case label must be one of CASE_LABELS, whose
-    position indexes the replication substreams.
+    all replications then go through the posterior core in one batched
+    quadrature pass, and its per-replication arrays are masked and summarized
+    without building a PosteriorEstimate per replication.  Replications whose
+    quadrature fails to converge are excluded and counted in ``failures``;
+    when none converges, both metrics have count 0 and nan bias, std_dev and
+    rmse.  The case label must be one of CASE_LABELS, whose position indexes
+    the replication substreams.
     """
     if case.label not in CASE_LABELS:
         raise ValueError(f"unknown case label {case.label!r}; expected one of {CASE_LABELS}")
@@ -313,12 +316,8 @@ def run_cell(
     draws = _sorted_draws(model, cfg.n, cfg.replications, cfg.seed, case_index, rule_index)
     log_times = type2_log_times(draws, cfg.r)
     log_P = log_times[:, : cfg.r].sum(axis=1)
-    estimates = posterior.estimate_many(spec, log_times, log_P, cfg.r, settings)
-    kept = [est for est in estimates if est.converged]
-    failures = len(estimates) - len(kept)
-    m_x = _summary([est.x_R_tilde for est in kept], cfg.true_x_R, failures)
-    m_beta = _summary([est.beta_tilde for est in kept], cfg.true_beta, failures)
-    return m_x, m_beta
+    x_R, beta, _, _, _, ok = posterior._posterior_stack(spec, log_times, log_P, cfg.r, settings)
+    return _summary(x_R, ok, cfg.true_x_R), _summary(beta, ok, cfg.true_beta)
 
 
 def run_mle_row(
@@ -337,10 +336,8 @@ def run_mle_row(
     _check_run(replications, seed)
     model = weibull.ReliableLifeWeibull(x_R=1.0, beta=true_beta, R=R)
     beta_hat, x_R_hat, ok = mle.fit_many(_sorted_draws(model, n, replications, seed, n, r), r, R)
-    failures = int((~ok).sum())
-    m_x = _summary(x_R_hat[ok], 1.0, failures)
-    m_beta = _summary(beta_hat[ok], true_beta, failures)
-    if not ok.any():
+    m_x, m_beta = _summary(x_R_hat, ok, 1.0), _summary(beta_hat, ok, true_beta)
+    if m_x.count == 0:
         return m_x, m_beta, math.nan
     entry = mle.calibrate_B(n, r, _B_REPLICATIONS, seed, cache_path=cache_path)
     return m_x, m_beta, metrics(entry.B * beta_hat[ok], true_beta).std_dev
@@ -373,9 +370,7 @@ def table_config(table_id, replications: int, seed: int) -> ExperimentConfig:
     if key not in _BAYES_TABLES:
         raise InputValidationError(f"table {table_id!r} is not a Bayes table (expected 3..8)")
     true_beta, n, r = _BAYES_TABLES[key]
-    return ExperimentConfig(
-        true_beta=true_beta, n=n, r=r, seed=seed, replications=replications
-    )
+    return ExperimentConfig(true_beta=true_beta, n=n, r=r, seed=seed, replications=replications)
 
 
 def _mle_table(table_id: str, replications: int, seed: int) -> TableResult:

@@ -36,6 +36,13 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _log_inverse(R: float) -> float:
+    """K = ln(1/R) of a reliability level R strictly inside (0, 1)."""
+    if not (0.0 < R < 1.0):
+        raise ValueError(f"R must lie strictly inside (0, 1), got {R!r}")
+    return math.log(1.0 / R)
+
+
 @dataclass(frozen=True)
 class ShapeScaleWeibull:
     """Classical (alpha, beta) parameter pair; alpha carries the time units."""
@@ -63,13 +70,12 @@ class ReliableLifeWeibull:
     def __post_init__(self) -> None:
         _require_positive("x_R", self.x_R)
         _require_positive("beta", self.beta)
-        if not (0.0 < self.R < 1.0):
-            raise ValueError(f"R must lie strictly inside (0, 1), got {self.R!r}")
+        _log_inverse(self.R)
 
     @property
     def K(self) -> float:
         """ln(1/R), the survival exponent at x = x_R."""
-        return math.log(1.0 / self.R)
+        return _log_inverse(self.R)
 
 
 def reliability(x: float, p: ReliableLifeWeibull) -> float:
@@ -106,8 +112,7 @@ def quantile(q: float, p: ReliableLifeWeibull) -> float:
 
 def from_shape_scale(p: ShapeScaleWeibull, R: float) -> ReliableLifeWeibull:
     """Re-express a shape/scale pair through its reliable life at level R."""
-    K = math.log(1.0 / R)
-    return ReliableLifeWeibull(x_R=p.alpha * K ** (1.0 / p.beta), beta=p.beta, R=R)
+    return ReliableLifeWeibull(x_R=p.alpha * _log_inverse(R) ** (1.0 / p.beta), beta=p.beta, R=R)
 
 
 def to_shape_scale(p: ReliableLifeWeibull) -> ShapeScaleWeibull:

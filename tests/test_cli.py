@@ -201,6 +201,18 @@ class TestPriorPdfCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds the double range" in err
 
+    def test_steep_shape_on_the_default_grid_exits_0(self, capsys):
+        # the grid starts at 1e-3 a, where (x/a)**-beta = e**829 overflows
+        rc = cli.main(["prior-pdf", "--a", "1", "--w", "1.1", "--beta", "120", "--points", "4"])
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rc == 0
+        assert len(rows) == 5 and rows[1].endswith(",0.0")
+
+    def test_density_beyond_the_double_range_exits_2(self, capsys):
+        args = ["--a", "1e-307", "--w", "1.1", "--beta", "50", "--x-min", "1e-307", "--x-max", "1e-306"]
+        assert cli.main(["prior-pdf", *args]) == 2
+        assert "exceeds the double range" in capsys.readouterr().err
+
     def test_infinite_weight_exits_2(self, capsys):
         rc = cli.main(["prior-pdf", "--xbar-r", "1", "--w", "inf", "--beta", "1"])
         assert rc == 2

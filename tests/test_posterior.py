@@ -276,10 +276,15 @@ class TestEstimateMany:
     def assert_rows_match_single_estimates(self, spec, samples, settings):
         stacked = estimate_many(spec, *stack_rows(samples), settings)
         for s, row in zip(samples, stacked):
-            single = estimate(spec, s, settings)
-            assert (row.node_count, row.converged) == (single.node_count, single.converged)
-            assert math.isclose(row.x_R_tilde, single.x_R_tilde, rel_tol=1e-12)
-            assert math.isclose(row.beta_tilde, single.beta_tilde, rel_tol=1e-12)
+            # one core serves both, so a row is the single estimate exactly
+            assert row == estimate(spec, s, settings)
+            # built-in numbers only: a numpy scalar would print as np.float64(...)
+            for value, kind in zip(
+                (row.x_R_tilde, row.beta_tilde, row.node_count, row.error_estimate, row.converged),
+                (float, float, int, float, bool),
+            ):
+                assert type(value) is kind
+            assert type(row.log_I) is tuple and [type(v) for v in row.log_I] == [float] * 3
         return stacked
 
     def test_rows_stop_at_their_own_level(self):
@@ -305,6 +310,16 @@ class TestEstimateMany:
             warnings.simplefilter("always")
             estimate_many(spec, *stack_rows(censored_stack(5, beta=0.6)))
         assert [w.category for w in caught] == [PriorDominanceWarning]
+
+    def test_dominance_warning_names_the_callers_file(self):
+        spec = PriorSpec(BetaInterval(0.3, 0.9), 1.0, 0.98, WRule.fixed(1.0 / 0.3 + 0.1))
+        samples = censored_stack(2, beta=0.6)
+        for call in (lambda: estimate(spec, samples[0]), lambda: estimate_many(spec, *stack_rows(samples))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == [PriorDominanceWarning]
+            assert caught[0].filename == __file__
 
 
 class TestJointPosteriorPdf:

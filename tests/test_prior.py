@@ -157,6 +157,16 @@ class TestIggPdf:
             variances.append(m2 - m1 * m1)
         assert all(x > y for x, y in zip(variances, variances[1:]))
 
+    def test_zero_where_the_tail_factor_overflows(self):
+        # (x/a)**-beta = 1e360 at x = 1e-3 a, beta = 120: exp(-1e360) is 0
+        assert igg_pdf(1e-3, 1.0, 1.1, 120.0) == 0.0
+        assert igg_pdf(1e-3, 1.0, 1.1, 100.0) == 0.0  # factor 1e300, still finite
+
+    def test_density_beyond_the_double_range_raises_value_error(self):
+        # ln pdf = ln 50 - ln 1e-307 - ln Gamma(1.1) - 1 = 709.9, above ln(max double)
+        with pytest.raises(ValueError, match="IGG density exceeds the double range"):
+            igg_pdf(1e-307, 1e-307, 1.1, 50.0)
+
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):
             igg_pdf(0.0, 1.0, 1.0, 1.0)

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from weibayes.censoring import type2_censor
+from weibayes.mle import fit, fit_many
+from weibayes.prior import VirtualSample, posterior_conditional_params, prior_from_virtual_sample
 from weibayes.weibull import (
     ReliableLifeWeibull,
     _inverse_transform,
@@ -198,6 +201,23 @@ class TestValidation:
     def test_shape_scale_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ShapeScaleWeibull(0.0, 1.0)
+
+    @pytest.mark.parametrize("R", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda R: from_shape_scale(ShapeScaleWeibull(1.0, 2.0), R),
+            lambda R: prior_from_virtual_sample(VirtualSample((1.0, 2.0)), R, 1.5),
+            lambda R: posterior_conditional_params(1.5, 1.0, type2_censor([1.0, 2.0, 3.0], 2), 1.0, R),
+            lambda R: fit(type2_censor([1.0, 2.0, 3.0], 3), R),
+            lambda R: fit_many(np.array([[1.0, 2.0, 3.0], [0.5, 0.7, 4.0]]), 3, R),
+        ],
+        ids=["from_shape_scale", "prior_from_virtual_sample", "posterior_conditional_params",
+             "fit", "fit_many"],
+    )
+    def test_every_use_of_K_rejects_R_outside_the_unit_interval(self, call, R):
+        with pytest.raises(ValueError, match=r"R must lie strictly inside \(0, 1\)"):
+            call(R)
 
     def test_K_is_derived_from_R(self):
         p = ReliableLifeWeibull(3.0, 1.2, 0.98)
