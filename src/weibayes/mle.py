@@ -11,12 +11,15 @@ two failures with some spread.  The scale follows as alpha = (S(beta)/r)**(1/bet
 and the reliable life as x_R = alpha * K**(1/beta).
 
 One core solves rows of (ln x, mean ln x over failures, r): ``fit_many``
-passes type-II rows, ``fit`` one row of any right-censored sample.  Each row
-is scored once at each end of the fixed bracket [1e-6, 1e6]; because g is
-decreasing, a row without a sign change there has no finite estimate.  Other
-rows start at the log-moment estimate pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and
-take Newton steps in ln beta, bisecting when a step leaves the sign bracket or
-shrinks too slowly, until the step is at rounding level.
+passes type-II rows, ``fit`` one row of any right-censored sample.  The
+fixed bracket is [1e-6, 1e6]; g is positive at its lower end for every
+sample of positive finite times, so each row is scored once, at the upper
+end, and because g is decreasing a row whose score is not negative there has
+no finite estimate.  Other rows start at the log-moment estimate
+pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and take Newton steps in ln beta,
+bisecting when a step leaves the sign bracket or shrinks too slowly, until
+the step is at rounding level.  The sum S(beta_hat) behind the scale comes
+from the last score's denominator.  The core imports nothing beyond numpy.
 
 Because the distribution of beta_hat/beta does not depend on the true
 parameters, the multiplicative unbiasing factor B with E[B*beta_hat] = beta
@@ -66,7 +69,7 @@ _BRACKET_HI = 1e6
 @dataclass(frozen=True)
 class MleResult:
     """An MLE fit.  ``iterations`` counts Newton or bisection score evaluations
-    after the two at the bracket ends; ``converged`` means |g(beta_hat)| <= G_TOL."""
+    after the one at the upper bracket end; ``converged`` means |g(beta_hat)| <= G_TOL."""
 
     alpha_hat: float
     beta_hat: float
@@ -87,18 +90,22 @@ class UnbiasingEntry:
     seed: int
 
 
-def _score(betas: np.ndarray, below: np.ndarray, offset: np.ndarray, slope: bool = False):
+def _score(betas: np.ndarray, below: np.ndarray, offset: np.ndarray, slope: bool = False, out=None):
     """Profile score at betas (N,) for rows of ln x minus the row maximum (N, n) and
-    ``offset``, their mean ln x over failures minus it; ``slope`` adds dg/d(ln beta)."""
-    e = np.exp(betas[:, None] * below)
+    ``offset``, their mean ln x over failures minus it: (g, S), or (g, dg/d(ln beta), S)
+    with ``slope``, where S = sum(exp(beta * below)) per row.  ``out`` is an optional
+    (N, n) work buffer."""
+    e = np.multiply(betas[:, None], below, out=out)
+    np.exp(e, out=e)
     denom = e.sum(axis=1)
     e *= below
     mean = e.sum(axis=1) / denom
     g = offset + 1.0 / betas - mean
     if not slope:
-        return g
-    var = (e * below).sum(axis=1) / denom - mean * mean
-    return g, -1.0 / betas - betas * var
+        return g, denom
+    e *= below
+    var = e.sum(axis=1) / denom - mean * mean
+    return g, -1.0 / betas - betas * var, denom
 
 
 def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float):
@@ -110,12 +117,16 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     below = log_times - top[:, None]
     offset = mean_log_fail - top
     count = below.shape[0]
-    g_lo = _score(np.full(count, _BRACKET_LO), below, offset)
-    g_hi = _score(np.full(count, _BRACKET_HI), below, offset)
-    has_root = (g_lo > 0.0) & (g_hi < 0.0)
+    work = np.empty_like(below)
+    # Only the upper end is scored.  |ln x| < 745 for every positive double, so
+    # below and offset are > -1455 and the weighted mean of below is <= 0:
+    # g(1e-6) >= 1e6 - 1455 > 0 on every row of positive finite times, and a
+    # row with a zero or infinite time scores nan at both ends.  So g(1e-6) > 0
+    # and g(1e6) < 0 holds exactly when g(1e6) < 0.
+    g, denom = _score(np.full(count, _BRACKET_HI), below, offset, out=work)
+    has_root = g < 0.0
     u_lo, u_hi = math.log(_BRACKET_LO), math.log(_BRACKET_HI)
-    u = np.where(g_hi >= 0.0, u_hi, u_lo)
-    g = np.where(g_hi >= 0.0, g_hi, g_lo)
+    u = np.where(g >= 0.0, u_hi, u_lo)
     iterations = np.zeros(count, dtype=int)
 
     # Newton in u = ln(beta) from the log-moment estimate, bisecting whenever
@@ -128,7 +139,7 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     for _ in range(_MAX_ITERATIONS):
         if rows.size == 0:
             break
-        g_at, slope = _score(np.exp(at), x, off, slope=True)
+        g_at, slope, denom[rows] = _score(np.exp(at), x, off, slope=True, out=work[: rows.size])
         u[rows], g[rows] = at, g_at
         iterations[rows] += 1
         positive = g_at > 0.0
@@ -145,7 +156,11 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
                 a[going] for a in (rows, x, off, at, u_lo, u_hi, last_step)
             )
     beta = np.exp(u)
-    log_S = beta * top + np.log(np.exp(beta[:, None] * below).sum(axis=1))
+    # a row with a root was last scored at its beta_hat; one without a root ends at
+    # exp(ln 1e-6) or exp(ln 1e6), a bit off the bracket end, so its S is summed afresh
+    ends = ~has_root
+    denom[ends] = np.exp(beta[ends, None] * below[ends]).sum(axis=1)
+    log_S = beta * top + np.log(denom)
     log_alpha = (log_S - math.log(r)) / beta
     log_x_R = log_alpha + log_K / beta
     return beta, log_alpha, log_x_R, g, iterations, has_root
@@ -168,7 +183,7 @@ def profile_equation(beta: float, sample: CensoredSample) -> float:
     _validate_admissible(sample)
     st = sample.stats
     top = st.log_times[-1]
-    return float(_score(np.array([beta]), st.log_times[None, :] - top, st.log_P / st.r - top)[0])
+    return float(_score(np.array([beta]), st.log_times[None, :] - top, st.log_P / st.r - top)[0][0])
 
 
 def fit(sample: CensoredSample, R: float) -> MleResult:

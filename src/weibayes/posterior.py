@@ -42,11 +42,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .censoring import CensoredSample, logsumexp
 from .errors import ElicitationConstraintError, PriorDominanceWarning, QuadratureConvergenceWarning
-from .prior import PriorSpec, _log_gamma_ratio
+from .prior import PriorSpec, _gammaln, _log_gamma_ratio
 
 __all__ = [
     "QuadratureSettings",
@@ -176,6 +175,7 @@ def _log_integrands(
     (m, n) and ``log_P`` (m,) describe m samples that all have r failures.
     """
     w, log_a, log_A = _log_a_and_A(betas, spec, log_times)
+    gammaln = _gammaln()
     log_beta = np.log(betas)
     c0 = w + r
     c1 = c0 - 1.0 / betas  # positive because w > 1/beta
@@ -380,7 +380,7 @@ def joint_posterior_pdf(
                 - ((r + w) * bi + 1.0) * log_x
                 + bi * log_P[0]
                 - np.exp(log_A[0] - bi * log_x)
-                - gammaln(w)
+                - _gammaln()(w)
             )
         log_I0 = _sample_log_I(spec, sample, settings, "posterior normalization")[0]
         out[inside] = np.exp(log_num - log_I0)

@@ -16,6 +16,10 @@ which makes the conditional prior mean equal xbar_R for every shape value.
 The weight w acts as a virtual failure count: combining the IGG prior with a
 censored-sample likelihood just replaces (w, a**beta) with
 (w + r, a**beta + K*S(beta)).
+
+This module owns the package's one log-gamma, ``_gammaln``.  It loads
+``scipy.special`` at the first Bayes integral or prior density, not at
+import, so the maximum-likelihood paths never load scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .censoring import CensoredSample
 from .errors import ElicitationConstraintError, InputValidationError
@@ -192,6 +195,14 @@ def beta_prior_pdf(beta: float, interval: BetaInterval) -> float:
     return 0.0
 
 
+def _gammaln():
+    """scipy.special.gammaln, imported on first use so that only the Bayes integrals
+    and prior densities load scipy; callers fetch it once per call."""
+    from scipy.special import gammaln
+
+    return gammaln
+
+
 # Denominator argument from which _log_gamma_ratio switches to its Stirling
 # form.  Below it the plain log-gamma difference is kept bit for bit; that
 # difference loses about eps * w * ln(w) to cancellation, which stays under
@@ -207,6 +218,7 @@ def _log_gamma_ratio(w, d):
     small terms apart instead of subtracting two numbers of size w ln w.
     """
     z = w - d
+    gammaln = _gammaln()
     plain = gammaln(w) - gammaln(z)
     big = z >= _STIRLING_FROM
     if not np.any(big):
@@ -260,7 +272,8 @@ def igg_pdf(x_R: float, a: float, w: float, beta: float) -> float:
         tail = math.exp(-beta * (math.log(x_R) - math.log(a)))
     except OverflowError:
         return 0.0  # (x_R/a)**-beta beyond the double range: exp(-tail) underflows
-    log_pdf = math.log(beta) + beta * w * math.log(a) - gammaln(w) - (beta * w + 1.0) * math.log(x_R)
+    log_norm = math.log(beta) + beta * w * math.log(a) - _gammaln()(w)
+    log_pdf = log_norm - (beta * w + 1.0) * math.log(x_R)
     return _exp_in_range(log_pdf - tail, "the IGG density", x_R=x_R, a=a, w=w, beta=beta)
 
 

@@ -192,7 +192,9 @@ def metrics(estimates, true_value: float) -> PerformanceMetrics:
     The standard deviation divides by the count (population form), so the
     identity rmse**2 = std_dev**2 + bias**2 holds exactly.
     """
-    values = np.asarray(list(estimates), dtype=float)
+    if not isinstance(estimates, np.ndarray):
+        estimates = list(estimates)  # a generator, say; an array needs no Python round trip
+    values = np.asarray(estimates, dtype=float)
     if values.size == 0:
         raise ValueError("metrics need at least one estimate")
     bias = float(values.mean() - true_value)
@@ -211,7 +213,8 @@ def _summary(values: np.ndarray, ok: np.ndarray, true_value: float) -> Performan
     failures = ok.size - int(np.count_nonzero(ok))
     if failures == ok.size:
         return PerformanceMetrics(math.nan, math.nan, math.nan, count=0, failures=failures)
-    return replace(metrics(values[ok], true_value), failures=failures)
+    kept = metrics(values[ok], true_value)
+    return PerformanceMetrics(kept.bias, kept.std_dev, kept.rmse, kept.count, failures)
 
 
 def replication_rng(seed: int, *path: int) -> np.random.Generator:

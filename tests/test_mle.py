@@ -1,9 +1,12 @@
 """Maximum-likelihood baseline: profile score, root solve, calibration."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import shape_mle_brentq
 from weibayes.censoring import CensoredSample, log_likelihood, type2_censor
@@ -305,6 +308,35 @@ class TestSolverSafeguards:
         assert len(counts) > 450
         assert max(counts) < _MAX_ITERATIONS
         assert np.median(counts) <= 10
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 40), st.data(), st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
+    def test_fit_equals_its_row_of_fit_many(self, n, data, shape, seed):
+        r = data.draw(st.integers(2, n), label="r")
+        m = data.draw(st.integers(2, 8), label="rows")
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.standard_exponential((m, n)) ** (1.0 / shape), axis=1)
+        if data.draw(st.booleans(), label="ties"):
+            rows = np.ceil(rows * 10.0) / 10.0
+        beta_hat, x_R_hat, ok = fit_many(rows, r, 0.9)
+        for i in range(m):
+            try:
+                single = fit(type2_censor(rows[i].tolist(), r), 0.9)
+            except NoFiniteMleError:
+                assert not ok[i]
+                continue
+            assert (single.beta_hat, single.x_R_hat) == (beta_hat[i], x_R_hat[i])
+            assert ok[i] == single.converged
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.floats(math.ulp(0.0), sys.float_info.max), st.booleans()), max_size=38))
+    def test_score_is_positive_at_the_lower_bracket_end(self, items):
+        # the MLE core scores only the upper bracket end on this bound
+        items += [(math.ulp(0.0), True), (sys.float_info.max, True)]
+        s = CensoredSample(tuple(t for t, _ in items), tuple(F if f else C for _, f in items))
+        assert profile_equation(1e-6, s) > 0.0
 
 
 class TestCalibration:

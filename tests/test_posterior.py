@@ -373,6 +373,23 @@ class TestQuadratureSettings:
         assert 0.0 <= est.error_estimate < QuadratureSettings().rel_tol
 
 
+# every maximum-likelihood path, an exit-2 error, then a Bayes estimate, in one interpreter
+_MLE_PATHS_THEN_ESTIMATE = """
+from weibayes import BetaInterval, PriorSpec, WRule, calibrate_B, cli, estimate, fit, type2_censor
+from weibayes.simulate import run_mle_row
+s = type2_censor([0.5, 1.1, 2.7, 4.0, 9.0], 3)
+fit(s, 0.98)
+calibrate_B(3, 3, 10**4, 1)
+run_mle_row(2.0, 5, 3, 0.98, 20, 7)
+assert cli.main(["mle", "--sample", sys.argv[1]]) == 0
+assert cli.main(["calibrate-b", "3", "3", "10000", "-1"]) == 2
+loaded = "scipy" in sys.modules
+spec = PriorSpec(BetaInterval(1.0, 3.0), 1.0, 0.98, WRule.const_over_beta(1.1))
+assert estimate(spec, s).converged
+print(loaded, "scipy.special" in sys.modules)
+"""
+
+
 class TestGaussKronrodTable:
     NODES, WEIGHTS = posterior_module._GK_NODES, posterior_module._GK_WEIGHTS
 
@@ -395,10 +412,22 @@ class TestGaussKronrodTable:
             else:
                 assert err > 1e-12, k  # the degree is sharp
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # scipy.integrate costs a quarter second or more of start-up time
-        code = "import sys, weibayes; print('scipy.integrate' in sys.modules)"
+    @pytest.mark.parametrize(
+        "code,expected",
+        [
+            # scipy.integrate costs a quarter second or more of start-up time
+            pytest.param("import weibayes; print('scipy.integrate' in sys.modules)", "False",
+                         id="package"),
+            # scipy.special is most of the rest; only Bayes integrals and prior densities load it
+            pytest.param("import weibayes.cli; print('scipy' in sys.modules)", "False", id="cli"),
+            pytest.param(_MLE_PATHS_THEN_ESTIMATE, "False True", id="mle-paths-then-estimate"),
+        ],
+    )
+    def test_import_leaves_scipy_integrate_unloaded(self, code, expected, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("time,status\n0.62,failed\n0.91,failed\n1.24,failed\n1.24,censored\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        out = subprocess.run([sys.executable, "-c", "import sys\n" + code, str(path)],
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip().splitlines()[-1] == expected
