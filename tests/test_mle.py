@@ -310,6 +310,9 @@ class TestSolverSafeguards:
         assert np.median(counts) <= 10
 
 
+_TINIEST = math.ulp(0.0)  # 5e-324, the smallest positive double
+
+
 class TestProperties:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(3, 40), st.data(), st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
@@ -331,10 +334,10 @@ class TestProperties:
             assert ok[i] == single.converged
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.tuples(st.floats(math.ulp(0.0), sys.float_info.max), st.booleans()), max_size=38))
+    @given(st.lists(st.tuples(st.floats(_TINIEST, sys.float_info.max), st.booleans()), max_size=38))
     def test_score_is_positive_at_the_lower_bracket_end(self, items):
         # the MLE core scores only the upper bracket end on this bound
-        items += [(math.ulp(0.0), True), (sys.float_info.max, True)]
+        items += [(_TINIEST, True), (sys.float_info.max, True)]
         s = CensoredSample(tuple(t for t, _ in items), tuple(F if f else C for _, f in items))
         assert profile_equation(1e-6, s) > 0.0
 
