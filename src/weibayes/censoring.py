@@ -48,7 +48,7 @@ def logsumexp(a, axis=-1):
     peak = a.max(axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
+        return np.log(np.exp(a - peak).sum(axis=axis)) + peak.squeeze(axis=axis)
 
 
 @dataclass(frozen=True)

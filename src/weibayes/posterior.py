@@ -6,10 +6,13 @@ interval:
 
     I_h = integral over [beta1, beta2] of
           beta**r_h * a**(beta*w) * P**beta * A**(-(r + w - m_h))
-          * Gamma(r + w - m_h) / Gamma(w)  d beta,
+          * (w - m_h)_r * Gamma(w - m_h) / Gamma(w)  d beta,
 
 with A = a**beta + K*S(beta), r_0 = r_1 = r, r_2 = r + 1, m_0 = m_2 = 0 and
-m_1 = 1/beta.  The posterior means are then x_R ~ I_1/I_0 and beta ~ I_2/I_0.
+m_1 = 1/beta.  The rising factorial (z)_r = z (z + 1) ... (z + r - 1) turns
+Gamma(r + w - m_h) / Gamma(w) into a sum of r logs plus a ratio that is 1
+for m_h = 0 and xbar_R / a for m_1, so the only log-gamma left is the one
+that derives a.  The posterior means are then x_R ~ I_1/I_0 and beta ~ I_2/I_0.
 The A exponent is negative: that is the only sign under which the h = 0
 integral normalizes the joint posterior and the no-data case collapses to the
 prior mean and prior midpoint (both covered by tests).
@@ -45,7 +48,7 @@ import numpy as np
 
 from .censoring import CensoredSample, logsumexp
 from .errors import ElicitationConstraintError, PriorDominanceWarning, QuadratureConvergenceWarning
-from .prior import PriorSpec, _gammaln, _log_gamma_ratio
+from .prior import PriorSpec, _lgamma, _log_gamma_ratio, _log_rising
 
 __all__ = [
     "QuadratureSettings",
@@ -95,6 +98,8 @@ def _gk21() -> tuple[np.ndarray, np.ndarray]:
 
 
 _GK_NODES, _GK_WEIGHTS = _gk21()
+# directions from a bisected panel's centre to the centres of its halves
+_SIDES = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -140,22 +145,24 @@ def _sample_rows(sample: CensoredSample) -> tuple[np.ndarray, np.ndarray, int]:
 
 def _log_a_and_A(
     betas: np.ndarray, spec: PriorSpec, log_times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w and ln a at the nodes, and ln A per sample, shape (m, k).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """w, rho = ln(Gamma(w) / Gamma(w - 1/beta)) and ln a = ln xbar_R + rho at
+    the nodes, and ln A per sample, shape (m, k).
 
     ``betas`` holds k nodes shared by every sample, shape (k,), or k nodes
-    per sample, shape (m, k); w and ln a take its shape.  Rejects nodes where
-    the weight rule breaks w > 1/beta.
+    per sample, shape (m, k); w, rho and ln a take its shape.  Rejects nodes
+    where the weight rule breaks w > 1/beta.
     """
     w = np.asarray(spec.w_rule(betas), dtype=float)
     inv_beta = 1.0 / betas
     margin = w - inv_beta
-    if np.any(margin <= 0.0):
-        bad = float(betas.flat[np.argmin(margin)])
+    if (margin <= 0.0).any():
+        bad = float(betas.flat[margin.argmin()])
         raise ElicitationConstraintError(
             f"weight rule violates w > 1/beta at beta = {bad:.6g} inside the integrand"
         )
-    log_a = math.log(spec.xbar_R) + _log_gamma_ratio(w, inv_beta)
+    rho = _log_gamma_ratio(w, inv_beta)
+    log_a = math.log(spec.xbar_R) + rho
     prior_part = betas * log_a
     if log_times.shape[1]:
         # ln S(beta) per sample; items on the leading axis keep the reduction elementwise
@@ -163,7 +170,7 @@ def _log_a_and_A(
         log_A = np.logaddexp(prior_part, math.log(spec.K) + log_S)
     else:
         log_A = np.broadcast_to(prior_part, (log_times.shape[0], betas.shape[-1]))
-    return w, log_a, log_A
+    return w, rho, log_a, log_A
 
 
 def _log_integrands(
@@ -174,15 +181,15 @@ def _log_integrands(
     ``betas`` holds k shape nodes, shape (k,) or (m, k); ``log_times``
     (m, n) and ``log_P`` (m,) describe m samples that all have r failures.
     """
-    w, log_a, log_A = _log_a_and_A(betas, spec, log_times)
-    gammaln = _gammaln()
+    w, rho, log_a, log_A = _log_a_and_A(betas, spec, log_times)
     log_beta = np.log(betas)
+    inv_beta = 1.0 / betas
     c0 = w + r
-    c1 = c0 - 1.0 / betas  # positive because w > 1/beta
-    base = (r * log_beta + betas * w * log_a - gammaln(w)) + log_P[:, None] * betas
+    base = (r * log_beta + betas * w * log_a) + log_P[:, None] * betas
     out = np.empty((3,) + log_A.shape, dtype=float)
-    out[0] = base - c0 * log_A + gammaln(c0)
-    out[1] = base - c1 * log_A + gammaln(c1)
+    rise = _log_rising(np.array((w, w - inv_beta)), r)
+    out[0] = base - c0 * log_A + rise[0]
+    out[1] = base - (c0 - inv_beta) * log_A + (rise[1] - rho)
     out[2] = out[0] + log_beta
     return out
 
@@ -234,20 +241,22 @@ def _integrate(
     error = np.empty(m)
     rows = np.arange(m)
     for panels in range(1, settings.max_panels + 1):
-        total = logsumexp(log_K, axis=-1)
-        err = np.exp(np.max(logsumexp(log_D, axis=-1) - total, axis=0))
+        total, log_D_total = logsumexp(np.array((log_K, log_D)), axis=-1)
+        err = np.exp((log_D_total - total).max(axis=0))
         done = (err < settings.rel_tol) | (panels == settings.max_panels)
-        log_I[:, rows[done]] = total[:, done]
-        node_count[rows[done]] = 21 * (2 * panels - 1)
-        error[rows[done]] = err[done]
-        if done.all():
-            break
-        go = ~done
-        rows, mid, half, log_K, log_D = rows[go], mid[go], half[go], log_K[:, go], log_D[:, go]
-        worst = np.argmax(np.max(log_D - total[:, go, None], axis=0), axis=-1)
+        if done.any():
+            log_I[:, rows[done]] = total[:, done]
+            node_count[rows[done]] = 21 * (2 * panels - 1)
+            error[rows[done]] = err[done]
+            if done.all():
+                break
+            go = ~done
+            rows, mid, half, total = rows[go], mid[go], half[go], total[:, go]
+            log_K, log_D = log_K[:, go], log_D[:, go]
+        worst = (log_D - total[:, :, None]).max(axis=0).argmax(axis=-1)
         at = np.arange(rows.size)
         quarter = 0.5 * half[at, worst]
-        centers = mid[at, worst][:, None] + quarter[:, None] * np.array([-1.0, 1.0])
+        centers = mid[at, worst][:, None] + quarter[:, None] * _SIDES
         betas = (centers[:, :, None] + quarter[:, None, None] * _GK_NODES).reshape(rows.size, 42)
         logf = _log_integrands(betas, spec, log_times[rows], log_P[rows], r)
         sums = _panel_log_sums(logf.reshape(3, rows.size, 2, 21), quarter[:, None])
@@ -371,7 +380,7 @@ def joint_posterior_pdf(
     if np.any(inside):
         bi = b[inside]
         log_times, log_P, r = _sample_rows(sample)
-        w, log_a, log_A = _log_a_and_A(bi, spec, log_times)
+        w, _, log_a, log_A = _log_a_and_A(bi, spec, log_times)
         log_x = np.log(x[inside])
         with np.errstate(over="ignore"):
             log_num = (
@@ -380,7 +389,7 @@ def joint_posterior_pdf(
                 - ((r + w) * bi + 1.0) * log_x
                 + bi * log_P[0]
                 - np.exp(log_A[0] - bi * log_x)
-                - _gammaln()(w)
+                - _lgamma(w)
             )
         log_I0 = _sample_log_I(spec, sample, settings, "posterior normalization")[0]
         out[inside] = np.exp(log_num - log_I0)

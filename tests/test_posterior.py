@@ -389,6 +389,28 @@ assert estimate(spec, s).converged
 print(loaded, "scipy.special" in sys.modules)
 """
 
+# every Bayes entry point in an interpreter where importing scipy fails
+_NO_SCIPY = """
+sys.modules["scipy"] = None
+import numpy as np
+from weibayes import BetaInterval, PriorSpec, WRule, cli, estimate, estimate_many, simulate, type2_censor
+from weibayes.posterior import joint_posterior_pdf
+from weibayes.prior import hyper_a, igg_pdf
+s = type2_censor([0.5, 1.1, 2.7, 4.0, 9.0], 3)
+spec = PriorSpec(BetaInterval(1.0, 3.0), 1.0, 0.98, WRule.const_over_beta(1.1))
+assert estimate(spec, s).converged
+st = s.stats
+assert all(e.converged for e in estimate_many(spec, np.stack([st.log_times] * 2), [st.log_P] * 2, st.r))
+assert joint_posterior_pdf(0.3, 1.5, spec, s) > 0.0
+assert igg_pdf(1.0, hyper_a(2.0, 2.0, 1.0), 2.0, 1.0) > 0.0
+cfg = simulate.table_config("7", 20, 42)
+case = simulate.build_case("V", cfg.true_beta)
+m_x, m_beta = simulate.run_cell(cfg, case, simulate.resolve_w_rule("1.4/beta", case.interval), 1)
+assert m_x.count + m_x.failures == 20
+assert cli.main(["prior-pdf", "--xbar-r", "2.0", "--w", "2.0", "--beta", "1.0", "--points", "4"]) == 0
+print("scipy" in sys.modules and sys.modules["scipy"] is not None)
+"""
+
 
 class TestGaussKronrodTable:
     NODES, WEIGHTS = posterior_module._GK_NODES, posterior_module._GK_WEIGHTS
@@ -418,9 +440,10 @@ class TestGaussKronrodTable:
             # scipy.integrate costs a quarter second or more of start-up time
             pytest.param("import weibayes; print('scipy.integrate' in sys.modules)", "False",
                          id="package"),
-            # scipy.special is most of the rest; only Bayes integrals and prior densities load it
+            # scipy.special is most of the rest; no path loads it
             pytest.param("import weibayes.cli; print('scipy' in sys.modules)", "False", id="cli"),
-            pytest.param(_MLE_PATHS_THEN_ESTIMATE, "False True", id="mle-paths-then-estimate"),
+            pytest.param(_MLE_PATHS_THEN_ESTIMATE, "False False", id="mle-paths-then-estimate"),
+            pytest.param(_NO_SCIPY, "False", id="bayes-paths-without-scipy"),
         ],
     )
     def test_import_leaves_scipy_integrate_unloaded(self, code, expected, tmp_path):

@@ -8,7 +8,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import weibayes.prior as prior_module
 from oracles import grid_rule_violation, grid_w_max, igg_moment_quad
@@ -115,12 +116,53 @@ class TestHyperA:
         plain = w - d < prior_module._STIRLING_FROM
         got = prior_module._log_gamma_ratio(w, d)
         assert plain.sum() > 1000
-        assert np.array_equal(got[plain], (gammaln(w) - gammaln(w - d))[plain])
+        lgamma = prior_module._lgamma
+        assert np.array_equal(got[plain], (lgamma(w) - lgamma(w - d))[plain])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_and_nonfinite_weight(self, bad):
         with pytest.raises(ValueError):
             hyper_a(1.0, bad, 1.0)
+
+
+class TestLogGamma:
+    """The package's one log-gamma and the rising-factorial sums, against mpmath."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=1e-300, max_value=1e300))
+    @example(1.0)
+    @example(2.0)
+    @example(12.0)
+    @example(float(np.nextafter(12.0, 0.0)))
+    @example(1e-300)
+    def test_lgamma_matches_mpmath(self, x):
+        exact = mp.loggamma(x)
+        got = prior_module._lgamma(x)
+        # absolute where |ln Gamma| <= 1 (it vanishes at 1 and 2), relative elsewhere
+        assert abs(got - exact) <= 2e-14 * max(1.0, abs(exact))
+
+    def test_lgamma_is_elementwise(self):
+        x = np.array([[1e-300, 0.5, 1.0], [11.999, 12.0, 1e300]])
+        got = prior_module._lgamma(x)
+        assert got.shape == x.shape
+        for v, g in zip(x.flat, got.flat):
+            exact = mp.loggamma(v)
+            assert abs(g - exact) <= 2e-14 * max(1.0, abs(exact))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=1e-300, max_value=1e300), st.integers(min_value=0, max_value=40))
+    def test_log_rising_matches_mpmath(self, z, r):
+        exact = mp.fsum(mp.log(mp.mpf(z) + j) for j in range(r))
+        got = prior_module._log_rising(np.array([z]), r)
+        # r logs, each rounded, and r - 1 additions of partial sums at most their total size
+        terms = sum(abs(math.log(z + j)) for j in range(r))
+        assert abs(got[0] - exact) <= 2.0 * r * np.finfo(float).eps * (1.0 + terms)
+
+    @pytest.mark.parametrize("z", [np.array(0.7), np.array([1e-300, 3.0, 1e300]), np.ones((2, 3))])
+    def test_log_rising_of_no_factors_is_zero(self, z):
+        got = prior_module._log_rising(z, 0)
+        assert got.shape == z.shape
+        assert np.all(got == 0.0)
 
 
 class TestIggPdf:
