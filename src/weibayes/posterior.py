@@ -6,23 +6,23 @@ interval:
 
     I_h = integral over [beta1, beta2] of
           beta**r_h * a**(beta*w) * P**beta * A**(-(r + w - m_h))
-          * (w - m_h)_r * Gamma(w - m_h) / Gamma(w)  d beta,
+          * Gamma(r + w - m_h) / Gamma(w)  d beta,
 
 with A = a**beta + K*S(beta), r_0 = r_1 = r, r_2 = r + 1, m_0 = m_2 = 0 and
-m_1 = 1/beta.  The rising factorial (z)_r = z (z + 1) ... (z + r - 1) turns
-Gamma(r + w - m_h) / Gamma(w) into a sum of r logs plus a ratio that is 1
-for m_h = 0 and xbar_R / a for m_1, so the only log-gamma left is the one
-that derives a.  The posterior means are then x_R ~ I_1/I_0 and beta ~ I_2/I_0.
+m_1 = 1/beta.  The posterior means are then x_R ~ I_1/I_0 and beta ~ I_2/I_0.
 The A exponent is negative: that is the only sign under which the h = 0
 integral normalizes the joint posterior and the no-data case collapses to the
 prior mean and prior midpoint (both covered by tests).
 
 Both w and a are functions of beta (the weight rule is evaluated at the
-integration variable), so they are recomputed at every node.  Everything is
-evaluated in log space by one kernel, ``_log_integrands``, which takes a
-stack of m samples with the same failure count (ln times of shape (m, n),
-ln P of shape (m,)) and returns the three log integrands at every node for
-every sample.  The nodes may be shared by the stack or differ per sample.
+integration variable), so they are recomputed at every node, with one
+log-gamma pass over w, w - 1/beta, w + r and w + r - 1/beta that serves both
+a = xbar_R Gamma(w) / Gamma(w - 1/beta) and the Gamma ratios above; its cost
+does not grow with the failure count r.  Everything is evaluated in log space
+by one kernel, ``_log_integrands``, which takes a stack of m samples with the
+same failure count (ln times of shape (m, n), ln P of shape (m,)) and returns
+the three log integrands at every node for every sample.  The nodes may be
+shared by the stack or differ per sample.
 
 Each integral is a sum of Gauss-Kronrod (G10/K21) panels taken in log space
 with the node maximum factored out.  A sample starts with one 21-node panel
@@ -48,7 +48,7 @@ import numpy as np
 
 from .censoring import CensoredSample, logsumexp
 from .errors import ElicitationConstraintError, PriorDominanceWarning, QuadratureConvergenceWarning
-from .prior import PriorSpec, _lgamma, _log_gamma_ratio, _log_rising
+from .prior import PriorSpec, _lgamma, _log_gamma_ratio
 
 __all__ = [
     "QuadratureSettings",
@@ -144,14 +144,15 @@ def _sample_rows(sample: CensoredSample) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _log_a_and_A(
-    betas: np.ndarray, spec: PriorSpec, log_times: np.ndarray
+    betas: np.ndarray, spec: PriorSpec, log_times: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """w, rho = ln(Gamma(w) / Gamma(w - 1/beta)) and ln a = ln xbar_R + rho at
-    the nodes, and ln A per sample, shape (m, k).
+    """w, ln Gamma, ln a at the nodes, and ln A per sample, shape (m, k).
 
     ``betas`` holds k nodes shared by every sample, shape (k,), or k nodes
-    per sample, shape (m, k); w, rho and ln a take its shape.  Rejects nodes
-    where the weight rule breaks w > 1/beta.
+    per sample, shape (m, k); w and ln a take its shape.  ln Gamma, shape
+    (4,) + w.shape, is one pass over w, w - 1/beta, w + r and
+    w + r - 1/beta, so its cost does not grow with the failure count r.
+    Rejects nodes where the weight rule breaks w > 1/beta.
     """
     w = np.asarray(spec.w_rule(betas), dtype=float)
     inv_beta = 1.0 / betas
@@ -161,8 +162,9 @@ def _log_a_and_A(
         raise ElicitationConstraintError(
             f"weight rule violates w > 1/beta at beta = {bad:.6g} inside the integrand"
         )
-    rho = _log_gamma_ratio(w, inv_beta)
-    log_a = math.log(spec.xbar_R) + rho
+    c0 = w + r
+    lg = _lgamma(np.array((w, margin, c0, c0 - inv_beta)))
+    log_a = math.log(spec.xbar_R) + _log_gamma_ratio(w, inv_beta, lg[0] - lg[1])
     prior_part = betas * log_a
     if log_times.shape[1]:
         # ln S(beta) per sample; items on the leading axis keep the reduction elementwise
@@ -170,7 +172,7 @@ def _log_a_and_A(
         log_A = np.logaddexp(prior_part, math.log(spec.K) + log_S)
     else:
         log_A = np.broadcast_to(prior_part, (log_times.shape[0], betas.shape[-1]))
-    return w, rho, log_a, log_A
+    return w, lg, log_a, log_A
 
 
 def _log_integrands(
@@ -181,15 +183,14 @@ def _log_integrands(
     ``betas`` holds k shape nodes, shape (k,) or (m, k); ``log_times``
     (m, n) and ``log_P`` (m,) describe m samples that all have r failures.
     """
-    w, rho, log_a, log_A = _log_a_and_A(betas, spec, log_times)
+    w, lg, log_a, log_A = _log_a_and_A(betas, spec, log_times, r)
     log_beta = np.log(betas)
-    inv_beta = 1.0 / betas
     c0 = w + r
-    base = (r * log_beta + betas * w * log_a) + log_P[:, None] * betas
+    c1 = c0 - 1.0 / betas  # positive because w > 1/beta
+    base = (r * log_beta + betas * w * log_a - lg[0]) + log_P[:, None] * betas
     out = np.empty((3,) + log_A.shape, dtype=float)
-    rise = _log_rising(np.array((w, w - inv_beta)), r)
-    out[0] = base - c0 * log_A + rise[0]
-    out[1] = base - (c0 - inv_beta) * log_A + (rise[1] - rho)
+    out[0] = base - c0 * log_A + lg[2]
+    out[1] = base - c1 * log_A + lg[3]
     out[2] = out[0] + log_beta
     return out
 
@@ -241,8 +242,8 @@ def _integrate(
     error = np.empty(m)
     rows = np.arange(m)
     for panels in range(1, settings.max_panels + 1):
-        total, log_D_total = logsumexp(np.array((log_K, log_D)), axis=-1)
-        err = np.exp((log_D_total - total).max(axis=0))
+        total = logsumexp(log_K, axis=-1)
+        err = np.exp((logsumexp(log_D, axis=-1) - total).max(axis=0))
         done = (err < settings.rel_tol) | (panels == settings.max_panels)
         if done.any():
             log_I[:, rows[done]] = total[:, done]
@@ -380,7 +381,7 @@ def joint_posterior_pdf(
     if np.any(inside):
         bi = b[inside]
         log_times, log_P, r = _sample_rows(sample)
-        w, _, log_a, log_A = _log_a_and_A(bi, spec, log_times)
+        w, lg, log_a, log_A = _log_a_and_A(bi, spec, log_times, r)
         log_x = np.log(x[inside])
         with np.errstate(over="ignore"):
             log_num = (
@@ -389,7 +390,7 @@ def joint_posterior_pdf(
                 - ((r + w) * bi + 1.0) * log_x
                 + bi * log_P[0]
                 - np.exp(log_A[0] - bi * log_x)
-                - _lgamma(w)
+                - lg[0]
             )
         log_I0 = _sample_log_I(spec, sample, settings, "posterior normalization")[0]
         out[inside] = np.exp(log_num - log_I0)

@@ -19,9 +19,8 @@ censored-sample likelihood just replaces (w, a**beta) with
 
 This module owns the package's one log-gamma, ``_lgamma``, written in numpy
 alone: it lifts arguments below 12 by Gamma(x + 12) = x (x + 1) ... (x + 11)
-Gamma(x) and sums the Stirling series there.  With ``_log_rising`` for the
-ratios Gamma(z + r) / Gamma(z) of the shape integrals, it is all the gamma
-function the package needs, so no path loads scipy.
+Gamma(x) and sums the Stirling series there.  It is all the gamma function
+the package needs, so no path loads scipy.
 """
 
 from __future__ import annotations
@@ -224,22 +223,19 @@ def _lgamma(x):
     return stirling - lift * np.log(np.multiply.reduce(factors))
 
 
-def _log_rising(z, r: int):
-    """ln(Gamma(z + r) / Gamma(z)) = ln z + ln(z + 1) + ... + ln(z + r - 1), elementwise."""
-    z = np.asarray(z, dtype=float)
-    return np.add.reduce(np.log(z + np.arange(float(r)).reshape((-1,) + (1,) * z.ndim)), axis=0)
-
-
-def _log_gamma_ratio(w, d):
+def _log_gamma_ratio(w, d, plain=None):
     """ln(Gamma(w) / Gamma(w - d)) for w > d > 0, elementwise.
 
-    Once w - d >= _STIRLING_FROM both log-gammas take their Stirling series,
-    whose difference d ln w - (w - d - 1/2) log1p(-d/w) - d + ... keeps the
-    small terms apart instead of subtracting two numbers of size w ln w.
+    ``plain`` is ln Gamma(w) - ln Gamma(w - d) when the caller has already
+    evaluated both.  Once w - d >= _STIRLING_FROM both log-gammas take their
+    Stirling series, whose difference d ln w - (w - d - 1/2) log1p(-d/w) - d
+    + ... keeps the small terms apart instead of subtracting two numbers of
+    size w ln w.
     """
     z = w - d
-    lg = _lgamma(np.array((w, z)))
-    plain = lg[0] - lg[1]
+    if plain is None:
+        lg = _lgamma(np.array((w, z)))
+        plain = lg[0] - lg[1]
     big = np.asarray(z >= _STIRLING_FROM)
     if not big.any():
         return plain

@@ -12,7 +12,12 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 import weibayes.posterior as posterior_module
-from oracles import gauss_legendre_log_integrals, joint_posterior_means_2d, trapezoid_log_integrals
+from oracles import (
+    gauss_legendre_log_integrals,
+    joint_posterior_means_2d,
+    oracle_log_integrands,
+    trapezoid_log_integrals,
+)
 from weibayes.censoring import CensoredSample, type2_censor
 from weibayes.errors import PriorDominanceWarning, QuadratureConvergenceWarning
 from weibayes.posterior import (
@@ -80,6 +85,17 @@ class TestLogIntegrand:
         for h in (0, 1, 2):
             vals = [log_integrand(float(b), h, spec, s) for b in np.linspace(1.0, 3.0, 100)]
             assert all(math.isfinite(v) for v in vals)
+
+    @pytest.mark.parametrize("n,r", [(3, 3), (40, 40), (200, 200), (200, 150)])
+    def test_matches_direct_transcription_for_any_failure_count(self, n, r):
+        # ln Gamma(w + r) runs past the lifted range of the log-gamma once r >= 12
+        s = golden_sample(seed=5, n=n, r=r)
+        for rule in (WRule.const_over_beta(1.1), WRule.fixed(3.0)):
+            spec = PriorSpec(BetaInterval(0.5, 3.0), 1.0, 0.98, rule)
+            betas = np.linspace(0.5, 3.0, 41)
+            got = posterior_module._log_integrands(betas, spec, *posterior_module._sample_rows(s))[:, 0]
+            exact = oracle_log_integrands(betas, spec, s)
+            assert np.all(np.abs(got - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact)))
 
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):

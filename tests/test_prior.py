@@ -119,6 +119,14 @@ class TestHyperA:
         lgamma = prior_module._lgamma
         assert np.array_equal(got[plain], (lgamma(w) - lgamma(w - d))[plain])
 
+    def test_log_gamma_ratio_takes_a_precomputed_plain_difference(self):
+        rng = np.random.default_rng(4)
+        d = 1.0 / rng.uniform(0.05, 5.0, 2000)
+        w = d + 10.0 ** rng.uniform(-9.0, 4.0, 2000)  # both sides of the cutoff
+        lg = prior_module._lgamma(np.array((w, w - d)))
+        got = prior_module._log_gamma_ratio(w, d, lg[0] - lg[1])
+        assert np.array_equal(got, prior_module._log_gamma_ratio(w, d))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_and_nonfinite_weight(self, bad):
         with pytest.raises(ValueError):
@@ -126,7 +134,7 @@ class TestHyperA:
 
 
 class TestLogGamma:
-    """The package's one log-gamma and the rising-factorial sums, against mpmath."""
+    """The package's one log-gamma, against mpmath."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.floats(min_value=1e-300, max_value=1e300))
@@ -148,21 +156,6 @@ class TestLogGamma:
         for v, g in zip(x.flat, got.flat):
             exact = mp.loggamma(v)
             assert abs(g - exact) <= 2e-14 * max(1.0, abs(exact))
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.floats(min_value=1e-300, max_value=1e300), st.integers(min_value=0, max_value=40))
-    def test_log_rising_matches_mpmath(self, z, r):
-        exact = mp.fsum(mp.log(mp.mpf(z) + j) for j in range(r))
-        got = prior_module._log_rising(np.array([z]), r)
-        # r logs, each rounded, and r - 1 additions of partial sums at most their total size
-        terms = sum(abs(math.log(z + j)) for j in range(r))
-        assert abs(got[0] - exact) <= 2.0 * r * np.finfo(float).eps * (1.0 + terms)
-
-    @pytest.mark.parametrize("z", [np.array(0.7), np.array([1e-300, 3.0, 1e300]), np.ones((2, 3))])
-    def test_log_rising_of_no_factors_is_zero(self, z):
-        got = prior_module._log_rising(z, 0)
-        assert got.shape == z.shape
-        assert np.all(got == 0.0)
 
 
 class TestIggPdf:

@@ -259,9 +259,9 @@ class TestGoldenValues:
         case = build_case("V", cfg.true_beta)
         got = run_cell(cfg, case, resolve_w_rule("1.4/beta", case.interval), 1)
         assert repr(got) == (
-            "(PerformanceMetrics(bias=1.6355643602769767, std_dev=0.8122315625251458, "
-            "rmse=1.8261409824463926, count=200, failures=0), "
-            "PerformanceMetrics(bias=0.16244028409915767, std_dev=0.012087183369114232, "
+            "(PerformanceMetrics(bias=1.6355643602769776, std_dev=0.8122315625251464, "
+            "rmse=1.8261409824463937, count=200, failures=0), "
+            "PerformanceMetrics(bias=0.16244028409915767, std_dev=0.01208718336911419, "
             "rmse=0.16288936705633567, count=200, failures=0))"
         )
         # the values recorded under 480-node panel doubling
