@@ -22,7 +22,8 @@ does not grow with the failure count r.  Everything is evaluated in log space
 by one kernel, ``_log_integrands``, which takes a stack of m samples with the
 same failure count (ln times of shape (m, n), ln P of shape (m,)) and returns
 the three log integrands at every node for every sample.  The nodes may be
-shared by the stack or differ per sample.
+shared by the stack or differ per sample; shared nodes get w, the log-gammas
+and ln a, which depend on beta and the prior alone, once for the whole stack.
 
 Each integral is a sum of Gauss-Kronrod (G10/K21) panels taken in log space
 with the node maximum factored out.  A sample starts with one 21-node panel
@@ -31,7 +32,8 @@ until the estimated relative error of each log integral, the summed
 |K - G| of its panels over the Kronrod total, is below ``rel_tol``, or until
 it reaches the panel cap.  The decision is per sample: a sample that has
 converged leaves the stack, so it stops with the same panels, and the same
-node count, as it would alone.
+node count, as it would alone.  Samples that bisect the same panel, as all do
+in the first bisection, share its nodes and their prior-side terms.
 One private core runs a stack of samples and returns per-sample arrays:
 the simulation harness masks them for all replications of a cell at once,
 :func:`estimate_many` turns each row into a :class:`PosteriorEstimate`, and
@@ -228,7 +230,9 @@ def _integrate(
     it has ``max_panels`` panels; otherwise it bisects the panel with the
     largest |K_p - G_p| relative to its total.  All samples still on the
     stack have the same panel count, so each step evaluates 2 x 21 nodes per
-    sample and the arrays stay rectangular.
+    sample and the arrays stay rectangular.  When every sample bisects the
+    same panel, the step passes those 42 nodes once, shape (42,), so the
+    kernel's prior-side terms are computed once for the stack.
     """
     iv = spec.interval
     m = log_times.shape[0]
@@ -259,6 +263,8 @@ def _integrate(
         quarter = 0.5 * half[at, worst]
         centers = mid[at, worst][:, None] + quarter[:, None] * _SIDES
         betas = (centers[:, :, None] + quarter[:, None, None] * _GK_NODES).reshape(rows.size, 42)
+        if rows.size > 1 and (quarter == quarter[0]).all() and (centers == centers[0]).all():
+            betas = betas[0]  # one panel for all rows: its prior-side terms are computed once
         logf = _log_integrands(betas, spec, log_times[rows], log_P[rows], r)
         sums = _panel_log_sums(logf.reshape(3, rows.size, 2, 21), quarter[:, None])
         mid[at, worst] = centers[:, 0]

@@ -313,6 +313,37 @@ class TestEstimateMany:
         spec = PriorSpec(BetaInterval(0.7, 1.3), 10.0, 0.98, WRule.const_over_beta(1.4))
         self.assert_rows_match_single_estimates(spec, censored_stack(30, beta=1.0), None)
 
+    @staticmethod
+    def record_lgamma_shapes(monkeypatch):
+        shapes = []
+        original = posterior_module._lgamma
+
+        def recording(x):
+            shapes.append(x.shape)
+            return original(x)
+
+        monkeypatch.setattr(posterior_module, "_lgamma", recording)
+        return shapes
+
+    def test_rows_bisecting_one_panel_share_its_nodes(self, monkeypatch):
+        samples = censored_stack(40, seed=7, n=3, r=3)
+        shapes = self.record_lgamma_shapes(monkeypatch)
+        stacked = estimate_many(self.WIDE, *stack_rows(samples), self.MIXED)
+        assert sum(e.node_count > 21 for e in stacked) >= 2
+        # round 0 is the whole interval; round 1 bisects it for every row left
+        assert shapes[:2] == [(4, 21), (4, 42)]
+
+    def test_rows_on_different_panels_stay_exact(self, monkeypatch):
+        # complete samples of 40 whose posteriors peak across the interval
+        spec = PriorSpec(BetaInterval(0.3, 12.0), 1.0, 0.98, WRule.const_over_beta(1.1))
+        samples = [s for beta in (0.5, 2.0, 5.0, 10.0) for s in censored_stack(5, n=40, r=40, beta=beta)]
+        shapes = self.record_lgamma_shapes(monkeypatch)
+        stacked = estimate_many(spec, *stack_rows(samples))
+        # some rounds of the stack bisect a different panel per row
+        assert any(len(shape) == 3 and shape[1] > 1 for shape in shapes)
+        assert len({e.node_count for e in stacked}) >= 3
+        self.assert_rows_match_single_estimates(spec, samples, None)
+
     def test_rejects_mismatched_stack_shapes(self):
         spec = case_i_spec()
         with pytest.raises(ValueError):

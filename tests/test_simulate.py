@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -272,6 +273,16 @@ class TestGoldenValues:
         for m, want in zip(got, panel_doubling):
             for value, old in zip((m.bias, m.std_dev, m.rmse), want):
                 assert math.isclose(value, old, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_bayes_table_csv(self):
+        """Table 7 (36 cells, 100 replications, seed 42) as ``to_csv`` writes it,
+        byte for byte.  A change to the kernel, the quadrature or the batching
+        must leave this file as it is; only a deliberate change of the draws,
+        such as moving to one random stream per cell, may re-record it."""
+        buf = io.StringIO()
+        reproduce_table(7, 100, 42).to_csv(buf)
+        with open(os.path.join(os.path.dirname(__file__), "data", "table7_r100_seed42.csv")) as fh:
+            assert buf.getvalue() == fh.read()
 
 
 def estimate_loop(cfg, case, rule, rule_index, settings=None):
