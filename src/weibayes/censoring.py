@@ -51,6 +51,18 @@ def logsumexp(a, axis=-1):
         return np.log(np.exp(a - peak).sum(axis=axis)) + peak.squeeze(axis=axis)
 
 
+def log_pow_sums(log_times, betas):
+    """ln S(beta) of m samples with ln times (m, n) at betas (k,) or (m, k): shape (m, k).
+
+    Items lie on the leading axis, so a row's value does not depend on the
+    other rows; a sample with no items gives -inf.
+    """
+    m, n = log_times.shape
+    if n == 0:
+        return np.full((m, np.shape(betas)[-1]), -np.inf)
+    return logsumexp(log_times.T[:, :, None] * betas, axis=0)
+
+
 @dataclass(frozen=True)
 class SampleStats:
     """Likelihood statistics of a censored sample.
@@ -73,11 +85,9 @@ class SampleStats:
 
     def log_pow_sum(self, betas):
         """ln S(beta), stable for large beta; accepts a scalar or an array."""
-        if self.n == 0:
-            return np.full(np.shape(betas), -np.inf) if np.ndim(betas) else -math.inf
-        t = np.multiply.outer(np.asarray(betas, dtype=float), self.log_times)
-        out = logsumexp(t, axis=-1)
-        return out if np.ndim(betas) else float(out)
+        b = np.asarray(betas, dtype=float)
+        out = log_pow_sums(self.log_times[None, :], b.ravel())[0].reshape(b.shape)
+        return out if b.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -34,31 +34,22 @@ EXIT_CONSTRAINT = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def format_estimate_record(est: posterior.PosteriorEstimate) -> str:
-    return "\n".join(
-        [
-            f"x_R_tilde={est.x_R_tilde!r}",
-            f"beta_tilde={est.beta_tilde!r}",
-            f"log_I0={est.log_I[0]!r}",
-            f"log_I1={est.log_I[1]!r}",
-            f"log_I2={est.log_I[2]!r}",
-            f"node_count={est.node_count}",
-            f"error_estimate={est.error_estimate!r}",
-            f"converged={'true' if est.converged else 'false'}",
-        ]
-    )
+def format_record(record) -> str:
+    """A dataclass record as name=value lines, in field order.
+
+    Numbers print by ``repr``, booleans as true/false, and a tuple field as
+    one numbered line per element (``log_I`` as ``log_I0``, ``log_I1``, ...).
+    """
+    lines = []
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        for suffix, v in enumerate(value) if isinstance(value, tuple) else [("", value)]:
+            lines.append(f"{field.name}{suffix}=" + (str(v).lower() if isinstance(v, bool) else repr(v)))
+    return "\n".join(lines)
 
 
-def format_mle_record(result: mle.MleResult) -> str:
-    return "\n".join(
-        [
-            f"alpha_hat={result.alpha_hat!r}",
-            f"beta_hat={result.beta_hat!r}",
-            f"x_R_hat={result.x_R_hat!r}",
-            f"iterations={result.iterations}",
-            f"converged={'true' if result.converged else 'false'}",
-        ]
-    )
+format_estimate_record = format_record
+format_mle_record = format_record
 
 
 def _quad_settings(args) -> QuadratureSettings | None:
@@ -69,7 +60,7 @@ def _cmd_estimate(args) -> int:
     sample = load_sample_csv(args.sample)
     spec = load_prior_spec(args.prior)
     est = posterior.estimate(spec, sample, _quad_settings(args))
-    print(format_estimate_record(est))
+    print(format_record(est))
     return EXIT_OK if est.converged else EXIT_NO_CONVERGENCE
 
 
@@ -77,7 +68,7 @@ def _cmd_mle(args) -> int:
     sample = load_sample_csv(args.sample)
     R = load_prior_spec(args.prior).R if args.prior else args.reliability
     result = mle.fit(sample, R)
-    print(format_mle_record(result))
+    print(format_record(result))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

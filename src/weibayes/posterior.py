@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, logsumexp
+from .censoring import CensoredSample, log_pow_sums, logsumexp
 from .errors import ElicitationConstraintError, PriorDominanceWarning, QuadratureConvergenceWarning
-from .prior import PriorSpec, _lgamma, _log_gamma_ratio
+from .prior import PriorSpec, _lgamma, _log_gamma_ratio, _log_igg
 
 __all__ = [
     "QuadratureSettings",
@@ -167,13 +167,7 @@ def _log_a_and_A(
     c0 = w + r
     lg = _lgamma(np.array((w, margin, c0, c0 - inv_beta)))
     log_a = math.log(spec.xbar_R) + _log_gamma_ratio(w, inv_beta, lg[0] - lg[1])
-    prior_part = betas * log_a
-    if log_times.shape[1]:
-        # ln S(beta) per sample; items on the leading axis keep the reduction elementwise
-        log_S = logsumexp(log_times.T[:, :, None] * betas, axis=0)
-        log_A = np.logaddexp(prior_part, math.log(spec.K) + log_S)
-    else:
-        log_A = np.broadcast_to(prior_part, (log_times.shape[0], betas.shape[-1]))
+    log_A = np.logaddexp(betas * log_a, math.log(spec.K) + log_pow_sums(log_times, betas))
     return w, lg, log_a, log_A
 
 
@@ -371,8 +365,10 @@ def joint_posterior_pdf(
 ):
     """Joint posterior density at (x_R, beta); zero outside the shape interval.
 
-    Accepts scalars or broadcastable arrays; the normalizing integral is
-    computed once per call.
+    The shape marginal f_0(beta) / I_0, where f_0 is the integrand of I_0,
+    times the conditional density of x_R given beta: the IGG density with
+    the updated (w + r, A = a**beta + K*S(beta)).  Accepts scalars or
+    broadcastable arrays; the normalizing integral is computed once per call.
     """
     settings = settings or QuadratureSettings()
     scalar = np.ndim(x_R) == 0 and np.ndim(beta) == 0
@@ -387,17 +383,8 @@ def joint_posterior_pdf(
     if np.any(inside):
         bi = b[inside]
         log_times, log_P, r = _sample_rows(sample)
-        w, lg, log_a, log_A = _log_a_and_A(bi, spec, log_times, r)
-        log_x = np.log(x[inside])
-        with np.errstate(over="ignore"):
-            log_num = (
-                (r + 1.0) * np.log(bi)
-                + bi * w * log_a
-                - ((r + w) * bi + 1.0) * log_x
-                + bi * log_P[0]
-                - np.exp(log_A[0] - bi * log_x)
-                - lg[0]
-            )
+        w, lg, _, log_A = _log_a_and_A(bi, spec, log_times, r)
+        log_f0 = _log_integrands(bi, spec, log_times, log_P, r)[0, 0]
         log_I0 = _sample_log_I(spec, sample, settings, "posterior normalization")[0]
-        out[inside] = np.exp(log_num - log_I0)
+        out[inside] = np.exp(log_f0 - log_I0 + _log_igg(np.log(x[inside]), bi, w + r, log_A[0], lg[2]))
     return float(out[()]) if scalar else out

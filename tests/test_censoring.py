@@ -93,6 +93,10 @@ class TestSampleStats:
         s = type2_censor([5.0, 1.0, 4.0, 2.0, 3.0], 3)
         assert s_of_beta(s, 0.0) == 5.0
 
+    def test_s_rejects_negative_shape(self):
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            s_of_beta(type2_censor([1.0, 2.0], 2), -0.5)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(0.1, 30.0, 7).tolist()

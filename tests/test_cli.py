@@ -38,7 +38,29 @@ def sample_path(tmp_path):
     return str(path)
 
 
+def assert_record_reads_back(out, record, keys):
+    """``out`` is one key=value line per key, in order, each reading back as ``record``'s field."""
+    pairs = [line.split("=", 1) for line in out.splitlines()]
+    assert [k for k, _ in pairs] == keys
+    for key, text in pairs:
+        field = "log_I" if key.startswith("log_I") else key
+        value = getattr(record, field)
+        if field == "log_I":
+            value = value[int(key[-1])]
+        if isinstance(value, bool):
+            assert text == ("true" if value else "false")
+        else:
+            assert type(value)(text) == value
+
+
 class TestEstimateCommand:
+    def test_record_layout(self, capsys, sample_path, prior_path):
+        assert cli.main(["estimate", "--sample", sample_path, "--prior", prior_path]) == 0
+        expected = posterior.estimate(load_prior_spec(prior_path), load_sample_csv(sample_path))
+        keys = ["x_R_tilde", "beta_tilde", "log_I0", "log_I1", "log_I2",
+                "node_count", "error_estimate", "converged"]
+        assert_record_reads_back(capsys.readouterr().out, expected, keys)
+
     def test_matches_library_call_byte_for_byte(self, capsys, sample_path, prior_path):
         rc = cli.main(["estimate", "--sample", sample_path, "--prior", prior_path])
         out = capsys.readouterr().out
@@ -62,6 +84,13 @@ class TestEstimateCommand:
         assert rc == 4
         assert out["converged"] == "false" and float(out["error_estimate"]) > 1e-20
         assert int(out["node_count"]) == 21 * (2 * posterior.QuadratureSettings().max_panels - 1)
+
+    def test_empty_sample_file_exits_2(self, capsys, tmp_path, prior_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        rc = cli.main(["estimate", "--sample", str(empty), "--prior", prior_path])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {empty}: empty file, expected a time,status header\n"
 
     def test_malformed_csv_exits_2_with_line_number(self, capsys, tmp_path, prior_path):
         bad = tmp_path / "bad.csv"
@@ -110,6 +139,12 @@ class TestEstimateCommand:
 
 
 class TestMleCommand:
+    def test_record_layout(self, capsys, sample_path):
+        assert cli.main(["mle", "--sample", sample_path]) == 0
+        expected = mle.fit(load_sample_csv(sample_path), 0.98)
+        keys = ["alpha_hat", "beta_hat", "x_R_hat", "iterations", "converged"]
+        assert_record_reads_back(capsys.readouterr().out, expected, keys)
+
     def test_record_matches_library(self, capsys, sample_path):
         rc = cli.main(["mle", "--sample", sample_path])
         out = capsys.readouterr().out
@@ -194,6 +229,18 @@ class TestPriorPdfCommand:
             ["prior-pdf", "--a", "1.0", "--w", "1.5", "--beta", "1.0", "--x-min", "-1.0"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--x-min", "2", "--x-max", "1"],
+             "the grid needs 0 < x_min < x_max < inf, got x_min = 2.0, x_max = 1.0"),
+            (["--points", "1"], "--points must be at least 2"),
+        ],
+    )
+    def test_unusable_grid_exits_2(self, capsys, flags, message):
+        assert cli.main(["prior-pdf", "--a", "1.0", "--w", "1.5", "--beta", "1.0", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_scale_beyond_the_double_range_exits_2(self, capsys):
         rc = cli.main(["prior-pdf", "--xbar-r", "1", "--w", "1e10", "--beta", "1e-6"])

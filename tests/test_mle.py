@@ -65,6 +65,11 @@ class TestProfileEquation:
         with pytest.raises(NoFiniteMleError):
             profile_equation(1.0, type2_censor([1.0, 2.0, 3.0], 1))
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_nonpositive_or_nonfinite_shape(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            profile_equation(beta, CensoredSample.complete([1.0, 2.0]))
+
     def test_rejects_equal_failures(self):
         with pytest.raises(NoFiniteMleError):
             profile_equation(1.0, CensoredSample.complete([2.0, 2.0, 2.0]))
@@ -160,6 +165,11 @@ class TestFit:
         assert np.isfinite(beta_hat).all()
         assert not np.isfinite(x_R_hat[0]) and not ok[0]
         assert np.isfinite(x_R_hat[1]) and ok[1]
+
+    @pytest.mark.parametrize("r", [1, 0, 4])
+    def test_fit_many_rejects_r_outside_2_to_n(self, r):
+        with pytest.raises(ValueError, match=f"need 2 <= r <= n = 3, got r = {r}"):
+            fit_many(np.array([[0.5, 1.0, 2.0]]), r, 0.98)
 
     def test_fit_many_matches_scalar_fit(self):
         rng = np.random.default_rng(71)

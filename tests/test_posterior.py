@@ -19,7 +19,7 @@ from oracles import (
     trapezoid_log_integrals,
 )
 from weibayes.censoring import CensoredSample, type2_censor
-from weibayes.errors import PriorDominanceWarning, QuadratureConvergenceWarning
+from weibayes.errors import ElicitationConstraintError, PriorDominanceWarning, QuadratureConvergenceWarning
 from weibayes.posterior import (
     PosteriorEstimate,
     QuadratureSettings,
@@ -29,7 +29,15 @@ from weibayes.posterior import (
     joint_posterior_pdf,
     log_integrand,
 )
-from weibayes.prior import BetaInterval, PriorSpec, WRule, beta_prior_pdf, conditional_prior, igg_pdf
+from weibayes.prior import (
+    BetaInterval,
+    PriorSpec,
+    WRule,
+    beta_prior_pdf,
+    conditional_prior,
+    igg_pdf,
+    posterior_conditional_params,
+)
 from weibayes.weibull import ReliableLifeWeibull, sample
 
 EMPTY = CensoredSample((), ())
@@ -100,6 +108,14 @@ class TestLogIntegrand:
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):
             log_integrand(2.0, 3, case_i_spec(), EMPTY)
+        with pytest.raises(ValueError, match="h must be 0, 1 or 2, got 3"):
+            integrate_Ih(3, case_i_spec(), golden_sample())
+
+    def test_rejects_a_node_where_the_rule_breaks_w_above_one_over_beta(self):
+        # the rule is admissible on [1, 3]; at beta = 0.5 it gives w = 1.1 < 2
+        spec = PriorSpec(BetaInterval(1.0, 3.0), 1.0, 0.98, WRule.fixed(1.1))
+        with pytest.raises(ElicitationConstraintError, match="beta = 0.5 inside the integrand"):
+            log_integrand(0.5, 0, spec, golden_sample())
 
 
 class TestIntegrateIh:
@@ -393,6 +409,18 @@ class TestJointPosteriorPdf:
                 joint = joint_posterior_pdf(x, beta, spec, EMPTY)
                 product = beta_prior_pdf(beta, spec.interval) * igg_pdf(x, a, w, beta)
                 assert abs(joint / product - 1.0) < 1e-10
+
+    def test_censored_sample_is_shape_marginal_times_updated_igg(self):
+        spec = case_i_spec()
+        s = type2_censor([0.62, 0.91, 1.24, 1.7, 2.3], 3)
+        log_I0 = integrate_Ih(0, spec, s)
+        for beta in (1.2, 2.0, 2.9):
+            w, a = conditional_prior(spec, beta)
+            w_post, A = posterior_conditional_params(w, a, s, beta, spec.R)
+            marginal = math.exp(log_integrand(beta, 0, spec, s) - log_I0)
+            for x in (0.3, 0.7, 1.0, 4.0):
+                expected = marginal * igg_pdf(x, A ** (1.0 / beta), w_post, beta)
+                assert abs(joint_posterior_pdf(x, beta, spec, s) / expected - 1.0) < 1e-12
 
     def test_rejects_nonpositive_life(self):
         with pytest.raises(ValueError):

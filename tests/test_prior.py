@@ -39,6 +39,27 @@ from weibayes.simulate import CASE_LABELS, STANDARD_W_LABELS, build_case, resolv
 mp.mp.dps = 30
 
 K98 = math.log(1.0 / 0.98)
+CASE_I_RULE = WRule.const_over_beta(1.1)
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: BetaInterval(1.0, math.inf), "interval bounds must be finite"),
+            (lambda: BetaInterval(math.nan, 2.0), "interval bounds must be finite"),
+            (lambda: BetaInterval(2.0, 2.0), "need 0 < beta1 < beta2"),
+            (lambda: BetaInterval(3.0, 1.0), "need 0 < beta1 < beta2"),
+            (lambda: BetaInterval(0.0, 1.0), "need 0 < beta1 < beta2"),
+            (lambda: PriorSpec(BetaInterval(1.0, 3.0), 0.0, 0.98, CASE_I_RULE), "xbar_R must be positive"),
+            (lambda: PriorSpec(BetaInterval(1.0, 3.0), -1.0, 0.98, CASE_I_RULE), "xbar_R must be positive"),
+            (lambda: VirtualSample((1.0, 0.0)), "virtual times must be positive"),
+            (lambda: VirtualSample((-2.0,)), "virtual times must be positive"),
+        ],
+    )
+    def test_rejects_invalid_values(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestBetaPriorPdf:

@@ -87,6 +87,8 @@ class TestResolveWRule:
             resolve_w_rule("lots/beta", BetaInterval(1.0, 2.0))
         with pytest.raises(InputValidationError):
             resolve_w_rule("bogus", BetaInterval(1.0, 2.0))
+        with pytest.raises(InputValidationError, match="malformed fixed weight rule 'fixed:abc'"):
+            resolve_w_rule("fixed:abc", BetaInterval(1.0, 2.0))
 
 
 class TestMetrics:
@@ -426,6 +428,8 @@ class TestReproduceTable:
     def test_unknown_table_rejected(self):
         with pytest.raises(InputValidationError):
             reproduce_table("9c", 10, 1)
+        with pytest.raises(InputValidationError, match="table '3b' is not a Bayes table"):
+            simulate.table_config("3b", replications=10, seed=1)
 
 
 class TestPaperFormat:

@@ -87,6 +87,10 @@ class TestDensity:
                 fd = -(reliability(x + h, p) - reliability(x - h, p)) / (2.0 * h)
                 assert math.isclose(density(float(x), p), fd, rel_tol=1e-6)
 
+    def test_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="lifetimes are nonnegative"):
+            density(-1.0, PARAM_GRID[0])
+
     def test_zero_point_cases(self):
         assert density(0.0, ReliableLifeWeibull(2.0, 1.5, 0.9)) == 0.0
         p1 = ReliableLifeWeibull(2.0, 1.0, 0.9)
