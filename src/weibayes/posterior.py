@@ -24,6 +24,8 @@ same failure count (ln times of shape (m, n), ln P of shape (m,)) and returns
 the three log integrands at every node for every sample.  The nodes may be
 shared by the stack or differ per sample; shared nodes get w, the log-gammas
 and ln a, which depend on beta and the prior alone, once for the whole stack.
+The kernel does not test w > 1/beta: building the PriorSpec proved it on the
+shape interval, which holds every node; :func:`log_integrand` checks its beta.
 
 Each integral is a sum of Gauss-Kronrod (G10/K21) panels taken in log space
 with the node maximum factored out.  A sample starts with one 21-node panel
@@ -154,18 +156,12 @@ def _log_a_and_A(
     per sample, shape (m, k); w and ln a take its shape.  ln Gamma, shape
     (4,) + w.shape, is one pass over w, w - 1/beta, w + r and
     w + r - 1/beta, so its cost does not grow with the failure count r.
-    Rejects nodes where the weight rule breaks w > 1/beta.
+    The nodes must keep w > 1/beta, as every node in ``spec.interval`` does.
     """
     w = np.asarray(spec.w_rule(betas), dtype=float)
     inv_beta = 1.0 / betas
-    margin = w - inv_beta
-    if (margin <= 0.0).any():
-        bad = float(betas.flat[margin.argmin()])
-        raise ElicitationConstraintError(
-            f"weight rule violates w > 1/beta at beta = {bad:.6g} inside the integrand"
-        )
     c0 = w + r
-    lg = _lgamma(np.array((w, margin, c0, c0 - inv_beta)))
+    lg = _lgamma(np.array((w, w - inv_beta, c0, c0 - inv_beta)))
     log_a = math.log(spec.xbar_R) + _log_gamma_ratio(w, inv_beta, lg[0] - lg[1])
     log_A = np.logaddexp(betas * log_a, math.log(spec.K) + log_pow_sums(log_times, betas))
     return w, lg, log_a, log_A
@@ -192,25 +188,31 @@ def _log_integrands(
 
 
 def log_integrand(beta: float, h: int, spec: PriorSpec, sample: CensoredSample) -> float:
-    """Log integrand of I_h at a single shape value."""
+    """Log integrand of I_h at a single shape value, where w(beta) > 1/beta."""
     if h not in (0, 1, 2):
         raise ValueError(f"h must be 0, 1 or 2, got {h!r}")
-    return float(_log_integrands(np.array([float(beta)]), spec, *_sample_rows(sample))[h, 0, 0])
+    b = np.float64(beta)
+    if spec.w_rule(b) - 1.0 / b <= 0.0:
+        raise ElicitationConstraintError(
+            f"weight rule violates w > 1/beta at beta = {b:.6g} inside the integrand"
+        )
+    return float(_log_integrands(np.array([b]), spec, *_sample_rows(sample))[h, 0, 0])
 
 
 def _panel_log_sums(logf: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """ln K and ln |K - G| of GK21 panels, shape logf.shape[:-1] + (2,).
+    """ln K and ln |K - G| of GK21 panels, shape (2,) + logf.shape[:-1].
 
     ``logf`` holds the log integrand at the 21 nodes of each panel on its
     last axis; ``half`` is the panels' half-width, broadcast against
     logf.shape[:-1].
     """
-    peak = logf.max(axis=-1, keepdims=True)
+    peak = logf.max(axis=-1)
     peak[~np.isfinite(peak)] = 0.0
-    # an explicit sum, not a matmul, so a row's sums do not depend on the stack size
-    sums = (np.exp(logf - peak)[..., None, :] * _GK_WEIGHTS).sum(axis=-1)
+    # an explicit sum over the last axis, not a matmul: a row's sums do not depend on the stack size
+    weights = _GK_WEIGHTS.reshape((2,) + (1,) * (logf.ndim - 1) + (21,))
+    sums = (np.exp(logf - peak[..., None]) * weights).sum(axis=-1)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(sums)) + (peak + np.log(half)[..., None])
+        return np.log(np.abs(sums)) + (peak + np.log(half))
 
 
 def _integrate(
@@ -224,24 +226,26 @@ def _integrate(
     it has ``max_panels`` panels; otherwise it bisects the panel with the
     largest |K_p - G_p| relative to its total.  All samples still on the
     stack have the same panel count, so each step evaluates 2 x 21 nodes per
-    sample and the arrays stay rectangular.  When every sample bisects the
-    same panel, the step passes those 42 nodes once, shape (42,), so the
-    kernel's prior-side terms are computed once for the stack.
+    sample and the state is two rectangular tables: ``sums`` (2, 3, rows,
+    panels) of ln K_p and ln |K_p - G_p|, whose one log-sum-exp per round
+    gives both totals, and ``panel`` (2, rows, panels) of centres and
+    half-widths.  When every sample bisects the same panel, the step passes
+    those 42 nodes once, shape (42,), so the kernel's prior-side terms are
+    computed once for the stack.
     """
     iv = spec.interval
     m = log_times.shape[0]
-    mid = np.full((m, 1), iv.midpoint)
-    half = np.full((m, 1), 0.5 * iv.width)
+    panel = np.full((2, m, 1), [[[iv.midpoint]], [[0.5 * iv.width]]])
     logf = _log_integrands(iv.midpoint + 0.5 * iv.width * _GK_NODES, spec, log_times, log_P, r)
-    sums = _panel_log_sums(logf[:, :, None, :], half)
-    log_K, log_D = sums[..., 0], sums[..., 1]  # (3, rows, panels)
+    sums = _panel_log_sums(logf[:, :, None, :], panel[1])
+    del logf  # no kernel call below holds the node values of an earlier round
     log_I = np.empty((3, m))
     node_count = np.empty(m, dtype=int)
     error = np.empty(m)
     rows = np.arange(m)
     for panels in range(1, settings.max_panels + 1):
-        total = logsumexp(log_K, axis=-1)
-        err = np.exp((logsumexp(log_D, axis=-1) - total).max(axis=0))
+        total, log_err = logsumexp(sums, axis=-1)
+        err = np.exp((log_err - total).max(axis=0))
         done = (err < settings.rel_tol) | (panels == settings.max_panels)
         if done.any():
             log_I[:, rows[done]] = total[:, done]
@@ -250,25 +254,22 @@ def _integrate(
             if done.all():
                 break
             go = ~done
-            rows, mid, half, total = rows[go], mid[go], half[go], total[:, go]
-            log_K, log_D = log_K[:, go], log_D[:, go]
-        worst = (log_D - total[:, :, None]).max(axis=0).argmax(axis=-1)
+            rows, panel, sums, total = rows[go], panel[:, go], sums[:, :, go], total[:, go]
+        worst = (sums[1] - total[:, :, None]).max(axis=0).argmax(axis=-1)
         at = np.arange(rows.size)
-        quarter = 0.5 * half[at, worst]
-        centers = mid[at, worst][:, None] + quarter[:, None] * _SIDES
+        mid, half = panel[:, at, worst]
+        quarter = 0.5 * half
+        centers = mid[:, None] + quarter[:, None] * _SIDES
         betas = (centers[:, :, None] + quarter[:, None, None] * _GK_NODES).reshape(rows.size, 42)
         if rows.size > 1 and (quarter == quarter[0]).all() and (centers == centers[0]).all():
             betas = betas[0]  # one panel for all rows: its prior-side terms are computed once
         logf = _log_integrands(betas, spec, log_times[rows], log_P[rows], r)
-        sums = _panel_log_sums(logf.reshape(3, rows.size, 2, 21), quarter[:, None])
-        mid[at, worst] = centers[:, 0]
-        half[at, worst] = quarter
-        log_K[:, at, worst] = sums[:, :, 0, 0]
-        log_D[:, at, worst] = sums[:, :, 0, 1]
-        mid = np.concatenate([mid, centers[:, 1:]], axis=1)
-        half = np.concatenate([half, quarter[:, None]], axis=1)
-        log_K = np.concatenate([log_K, sums[:, :, 1:, 0]], axis=-1)
-        log_D = np.concatenate([log_D, sums[:, :, 1:, 1]], axis=-1)
+        halves = _panel_log_sums(logf.reshape(3, rows.size, 2, 21), quarter[:, None])
+        del logf
+        panel[:, at, worst] = centers[:, 0], quarter
+        sums[:, :, at, worst] = halves[..., 0]
+        panel = np.concatenate([panel, np.array([centers[:, 1:], quarter[:, None]])], axis=-1)
+        sums = np.concatenate([sums, halves[..., 1:]], axis=-1)
     return log_I, node_count, error
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,7 @@ class WRule:
         if self.kind not in _W_RULE_KINDS:
             raise ValueError(f"unknown weight rule kind {self.kind!r}")
         if self.kind in (CONST_OVER_BETA, FIXED):
-            if self.value is None or not (self.value > 0.0 and math.isfinite(self.value)):
+            if not (isinstance(self.value, numbers.Real) and 0.0 < self.value < math.inf):
                 raise ValueError(f"rule {self.kind!r} needs a positive value, got {self.value!r}")
         elif self.value is not None:
             raise ValueError(f"rule {self.kind!r} takes no value")
@@ -249,14 +250,16 @@ def _log_gamma_ratio(w, d, plain=None):
 
 
 def _exp_in_range(log_value: float, what: str, **at: float) -> float:
-    """exp(log_value), or a ValueError naming ``what`` and ``at`` beyond the double range."""
+    """exp(log_value), or a ValueError naming ``what`` and ``at`` where that is
+    beyond the double range: an infinite value, or nan from terms that overflowed."""
     try:
         value = math.exp(log_value)
     except OverflowError:
         value = math.inf
-    if value == math.inf:
+    if not value < math.inf:
         where = ", ".join(f"{name} = {v:.6g}" for name, v in at.items())
-        raise ValueError(f"{what} exceeds the double range at {where}")
+        verb = "exceeds" if value == math.inf else "has terms that exceed"
+        raise ValueError(f"{what} {verb} the double range at {where}")
     return value
 
 
@@ -297,7 +300,8 @@ def igg_pdf(x_R: float, a: float, w: float, beta: float) -> float:
     # x_R / a at unit scale, then over a: the tail (x_R/a)**-beta comes from one log
     # difference; beta ln a - beta ln x_R loses up to 2.5e-12 relative far left
     log_a = math.log(a)
-    log_pdf = float(_log_igg(math.log(x_R) - log_a, beta, w, 0.0, _lgamma(w))) - log_a
+    with np.errstate(over="ignore", invalid="ignore"):  # the nan or inf is reported below
+        log_pdf = float(_log_igg(math.log(x_R) - log_a, beta, w, 0.0, _lgamma(w))) - log_a
     return _exp_in_range(log_pdf, "the IGG density", x_R=x_R, a=a, w=w, beta=beta)
 
 
@@ -357,14 +361,6 @@ def check_fields(d, what: str, required: set, optional: set = frozenset()) -> No
         raise InputValidationError(f"{what} has unknown fields: {sorted(unknown)}")
 
 
-def _w_rule_from_dict(d) -> WRule:
-    check_fields(d, "w_rule", {"kind"}, {"value"})
-    try:
-        return WRule(d["kind"], d.get("value"))
-    except ValueError as exc:
-        raise InputValidationError(str(exc)) from None
-
-
 def prior_spec_from_dict(d) -> PriorSpec:
     """Build a PriorSpec from its JSON object form.
 
@@ -374,10 +370,12 @@ def prior_spec_from_dict(d) -> PriorSpec:
     raises ElicitationConstraintError.
     """
     check_fields(d, "prior specification", {"beta1", "beta2", "xbar_R", "R", "w_rule"})
-    rule = _w_rule_from_dict(d["w_rule"])
+    rule = d["w_rule"]
+    check_fields(rule, "w_rule", {"kind"}, {"value"})
     try:
         interval = BetaInterval(float(d["beta1"]), float(d["beta2"]))
-        return PriorSpec(interval=interval, xbar_R=float(d["xbar_R"]), R=float(d["R"]), w_rule=rule)
+        return PriorSpec(interval=interval, xbar_R=float(d["xbar_R"]), R=float(d["R"]),
+                         w_rule=WRule(rule["kind"], rule.get("value")))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputValidationError(str(exc)) from None
 

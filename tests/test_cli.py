@@ -123,6 +123,17 @@ class TestEstimateCommand:
         assert rc == 3
         assert "w > 1/beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["x", [1.1], {}])
+    def test_non_numeric_weight_value_exits_2_with_one_error_line(self, capsys, tmp_path, sample_path, value):
+        bad_prior = tmp_path / "bad_prior.json"
+        bad_prior.write_text(
+            json.dumps({**PRIOR_CASE_I, "w_rule": {"kind": "fixed", "value": value}}), encoding="utf-8"
+        )
+        rc = cli.main(["estimate", "--sample", sample_path, "--prior", str(bad_prior)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: rule 'fixed' needs a positive value, got {value!r}\n"
+
     def test_nonconvergence_exits_4(self, capsys, sample_path, prior_path, monkeypatch):
         import dataclasses
 
@@ -259,6 +270,14 @@ class TestPriorPdfCommand:
         args = ["--a", "1e-307", "--w", "1.1", "--beta", "50", "--x-min", "1e-307", "--x-max", "1e-306"]
         assert cli.main(["prior-pdf", *args]) == 2
         assert "exceeds the double range" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_beyond_the_double_range_exits_2(self, capsys):
+        # ln Gamma(1e308) overflows; the grid points below the scale used to print nan
+        rc = cli.main(["prior-pdf", "--a", "2", "--w", "1e308", "--beta", "2", "--points", "4"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: the IGG density has terms that exceed the double range")
 
     def test_infinite_weight_exits_2(self, capsys):
         rc = cli.main(["prior-pdf", "--xbar-r", "1", "--w", "inf", "--beta", "1"])

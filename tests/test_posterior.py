@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 import weibayes.posterior as posterior_module
@@ -286,6 +288,79 @@ class TestEstimate:
         result = mannwhitneyu(errors[30], errors[3], alternative="less")
         assert result.pvalue < 0.01
         assert np.median(errors[30]) < np.median(errors[3])
+
+
+@st.composite
+def admissible_cases(draw):
+    """(spec, sample): a weight rule admissible on its interval and a censored sample."""
+    kind = draw(st.sampled_from(["const_over_beta", "fixed", "unit", "piecewise96"]))
+    beta1 = draw(st.floats(0.05, 5.0))
+    beta2 = beta1 * draw(st.floats(1.05, 40.0))
+    if kind == "unit" or (kind == "piecewise96" and beta2 >= 1.0):
+        beta1, beta2 = 1.0 + beta1, 1.0 + beta2  # both give w = 1 = 1/beta at beta = 1
+    if kind == "const_over_beta":
+        rule = WRule.const_over_beta(draw(st.floats(1.05, 3.0)))
+    elif kind == "fixed":
+        rule = WRule.fixed(1.0 / beta1 + draw(st.floats(0.01, 3.0)))
+    else:
+        rule = WRule(kind)
+    spec = PriorSpec(BetaInterval(beta1, beta2), draw(st.floats(0.1, 10.0)), 0.98, rule)
+    items = draw(st.lists(st.tuples(st.floats(1e-3, 1e3), st.booleans()), max_size=8))
+    status = tuple("failed" if failed else "censored" for _, failed in items)
+    return spec, CensoredSample(tuple(t for t, _ in items), status)
+
+
+_CASES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestQuadratureNodes:
+    """The kernel does not check w > 1/beta: building the PriorSpec proved it
+    on the shape interval, and every quadrature node lies in that interval."""
+
+    @_CASES
+    @given(admissible_cases())
+    def test_every_node_is_inside_the_interval_where_the_rule_is_admissible(self, case):
+        spec, s = case
+        seen = []
+        kernel = posterior_module._log_integrands
+
+        def recording(betas, *args):
+            seen.append(np.array(betas).ravel())
+            return kernel(betas, *args)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", PriorDominanceWarning)
+            mp.setattr(posterior_module, "_log_integrands", recording)
+            est = estimate(spec, s)
+        nodes = np.concatenate(seen)
+        assert nodes.size == est.node_count
+        iv = spec.interval
+        assert np.all((iv.beta1 <= nodes) & (nodes <= iv.beta2))
+        assert np.all(spec.w_rule(nodes) > 1.0 / nodes)
+
+    @_CASES
+    @given(admissible_cases(), st.randoms(use_true_random=False))
+    def test_shape_estimate_inside_the_interval_and_order_free(self, case, rnd):
+        spec, s = case
+        order = list(range(s.n))
+        rnd.shuffle(order)
+        shuffled = CensoredSample(tuple(s.times[i] for i in order), tuple(s.status[i] for i in order))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PriorDominanceWarning)
+            est, est_shuffled = estimate(spec, s), estimate(spec, shuffled)
+        assert spec.interval.beta1 <= est.beta_tilde <= spec.interval.beta2
+        assert est_shuffled == est
+
+    @pytest.mark.filterwarnings("ignore::weibayes.errors.PriorDominanceWarning")
+    def test_multi_round_estimate_is_pinned_bit_for_bit(self):
+        # times 1e-200 ... 1e200 put the mass at beta1: 14 panels, 567 nodes
+        spec = PriorSpec(BetaInterval(0.1, 20.0), 1.0, 0.98, WRule.const_over_beta(1.1))
+        est = estimate(spec, CensoredSample.complete(np.logspace(-200, 200, 9).tolist()))
+        assert repr(est) == (
+            "PosteriorEstimate(x_R_tilde=3.942433042023494e+171, beta_tilde=0.10020676102171215, "
+            "log_I=(-831.3530025025774, -436.2391535445186, -833.6535221199185), node_count=567, "
+            "error_estimate=7.650182099153388e-11, converged=True)"
+        )
 
 
 def censored_stack(count, seed=11, n=5, r=3, beta=2.0):

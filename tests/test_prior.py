@@ -3,6 +3,7 @@ conjugate update, virtual-sample equivalence, and the mean identities."""
 
 import json
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -223,6 +224,14 @@ class TestIggPdf:
         with pytest.raises(ValueError, match="IGG density exceeds the double range"):
             igg_pdf(1e-307, 1e-307, 1.1, 50.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_R", [0.5, 2.0])
+    def test_weight_beyond_the_double_range_raises_value_error(self, x_R):
+        # ln Gamma(1e308) overflows, so at and below the scale the log density is inf - inf
+        with pytest.raises(ValueError, match=rf"terms that exceed the double range at x_R = {x_R:g}, "
+                                             r"a = 2, w = 1e\+308, beta = 2"):
+            igg_pdf(x_R, 2.0, 1e308, 2.0)
+
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):
             igg_pdf(0.0, 1.0, 1.0, 1.0)
@@ -256,6 +265,11 @@ class TestWRule:
             WRule.fixed(-1.0)
         with pytest.raises(ValueError):
             WRule(WRule.unit().kind, 3.0)
+
+    @pytest.mark.parametrize("value", [None, "x", "2.0", [1.1], {}])
+    def test_valued_rule_needs_a_real_number(self, value):
+        with pytest.raises(ValueError, match=f"rule 'fixed' needs a positive value, got {re.escape(repr(value))}"):
+            WRule("fixed", value)
 
 
 def random_rules_and_intervals(rng, count):
