@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .weibull import ReliableLifeWeibull
+from .weibull import ReliableLifeWeibull, _require_positive
 
 __all__ = [
     "FAILED",
@@ -106,8 +106,7 @@ class CensoredSample:
         if len(self.times) != len(self.status):
             raise ValueError("times and status must have the same length")
         for t in self.times:
-            if not (t > 0.0 and math.isfinite(t)):
-                raise ValueError(f"all times must be positive and finite, got {t!r}")
+            _require_positive("all times", t)
         for s in self.status:
             if s not in (FAILED, CENSORED):
                 raise ValueError(f"status must be {FAILED!r} or {CENSORED!r}, got {s!r}")

@@ -10,16 +10,17 @@ which is strictly decreasing with a unique root whenever there are at least
 two failures with some spread.  The scale follows as alpha = (S(beta)/r)**(1/beta)
 and the reliable life as x_R = alpha * K**(1/beta).
 
-One core solves rows of (ln x, mean ln x over failures, r): ``fit_many``
-passes type-II rows, ``fit`` one row of any right-censored sample.  The
-fixed bracket is [1e-6, 1e6]; g is positive at its lower end for every
-sample of positive finite times, so each row is scored once, at the upper
-end, and because g is decreasing a row whose score is not negative there has
-no finite estimate.  Other rows start at the log-moment estimate
-pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and take Newton steps in ln beta,
-bisecting when a step leaves the sign bracket or shrinks too slowly, until
-the step is at rounding level.  The sum S(beta_hat) behind the scale comes
-from the last score's denominator.  The core imports nothing beyond numpy.
+One core solves rows of (ln x, mean ln x over failures, r): ``fit_many`` passes
+type-II rows, ``fit`` one row of any right-censored sample.  The fixed bracket
+is [1e-6, 1e6]; g is positive at its lower end for every sample of positive
+finite times, so each row is scored once, at the upper end, and because g is
+decreasing a row whose score is not negative there has no finite estimate.  That
+covers a type-II row whose failures coincide: its ln x are all equal, so g(1e6)
+is 1e-6 plus the rounding of its mean ln x.  Other rows start at the log-moment
+estimate pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and take Newton steps in ln beta,
+bisecting when a step leaves the sign bracket or shrinks too slowly, until the
+step is at rounding level.  The sum S(beta_hat) behind the scale comes from the
+last score's denominator.  The core imports nothing beyond numpy.
 
 Because the distribution of beta_hat/beta does not depend on the true
 parameters, the multiplicative unbiasing factor B with E[B*beta_hat] = beta
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censoring import CensoredSample, type2_log_times
-from .errors import NoFiniteMleError
-from .weibull import _log_inverse
+from .errors import InputValidationError, NoFiniteMleError
+from .weibull import _log_inverse, _require_positive
 
 __all__ = [
     "CACHE_FIELDS",
@@ -178,8 +179,7 @@ def _validate_admissible(sample: CensoredSample) -> None:
 
 def profile_equation(beta: float, sample: CensoredSample) -> float:
     """Profile score g(beta); strictly decreasing with a unique root."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    _require_positive("beta", beta)
     _validate_admissible(sample)
     st = sample.stats
     top = st.log_times[-1]
@@ -220,11 +220,10 @@ def fit_many(sorted_times: np.ndarray, r: int, R: float):
     if not 2 <= r <= n:
         raise ValueError(f"need 2 <= r <= n = {n}, got r = {r}")
     log_times = type2_log_times(sorted_times, r)
-    spread = sorted_times[:, r - 1] > sorted_times[:, 0]
     beta, _, log_x_R, g, _, has_root = _fit_rows(log_times, log_times[:, :r].sum(axis=1) / r, r, R)
     with np.errstate(over="ignore"):
         x_R_hat = np.exp(log_x_R)
-    return beta, x_R_hat, spread & has_root & (np.abs(g) <= G_TOL) & np.isfinite(x_R_hat)
+    return beta, x_R_hat, has_root & (np.abs(g) <= G_TOL) & np.isfinite(x_R_hat)
 
 
 def calibrate_B(
@@ -287,20 +286,41 @@ def calibration_row(entry: UnbiasingEntry) -> str:
 
 
 def read_calibration_cache(path) -> dict[tuple[int, int, int, int], UnbiasingEntry]:
+    """Entries of a calibration cache keyed by (n, r, replications, seed); an empty
+    file has none.  A missing column, a row of the wrong length or a malformed value
+    raises InputValidationError naming the file and, for a row, its line."""
     entries: dict[tuple[int, int, int, int], UnbiasingEntry] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            entry = UnbiasingEntry(
-                int(row["n"]), int(row["r"]), float(row["B"]),
-                int(row["replications"]), float(row["std_error"]), int(row["seed"]),
-            )
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return entries
+        missing = [field for field in CACHE_FIELDS if field not in reader.fieldnames]
+        if missing:
+            raise InputValidationError(f"{path}: not a calibration cache, missing columns {missing}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise InputValidationError(f"{where}: expected {len(reader.fieldnames)} fields")
+            try:
+                entry = UnbiasingEntry(
+                    int(row["n"]), int(row["r"]), float(row["B"]),
+                    int(row["replications"]), float(row["std_error"]), int(row["seed"]),
+                )
+            except ValueError as exc:
+                raise InputValidationError(f"{where}: {exc}") from None
             entries[(entry.n, entry.r, entry.replications, entry.seed)] = entry
     return entries
 
 
 def append_calibration_cache(path, entry: UnbiasingEntry) -> None:
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(",".join(CACHE_FIELDS) + "\n")
-        fh.write(calibration_row(entry) + "\n")
+    """Append one row: a new or empty file gets the header first, and a last row
+    that lacks its line break gets one, so the row never joins the one before."""
+    with open(path, "a+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            fh.write((",".join(CACHE_FIELDS) + "\n").encode())
+        else:
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+        fh.write((calibration_row(entry) + "\n").encode())

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censoring import CensoredSample, log_pow_sums, logsumexp
-from .errors import ElicitationConstraintError, PriorDominanceWarning, QuadratureConvergenceWarning
-from .prior import PriorSpec, _lgamma, _log_gamma_ratio, _log_igg
+from .errors import PriorDominanceWarning, QuadratureConvergenceWarning
+from .prior import PriorSpec, _lgamma, _log_gamma_ratio, _log_igg, _require_w_above_inverse_beta
 
 __all__ = [
     "QuadratureSettings",
@@ -192,10 +192,7 @@ def log_integrand(beta: float, h: int, spec: PriorSpec, sample: CensoredSample) 
     if h not in (0, 1, 2):
         raise ValueError(f"h must be 0, 1 or 2, got {h!r}")
     b = np.float64(beta)
-    if spec.w_rule(b) - 1.0 / b <= 0.0:
-        raise ElicitationConstraintError(
-            f"weight rule violates w > 1/beta at beta = {b:.6g} inside the integrand"
-        )
+    _require_w_above_inverse_beta(spec.w_rule(b), b, " inside the integrand")
     return float(_log_integrands(np.array([b]), spec, *_sample_rows(sample))[h, 0, 0])
 
 

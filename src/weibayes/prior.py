@@ -36,7 +36,7 @@ import numpy as np
 
 from .censoring import CensoredSample
 from .errors import ElicitationConstraintError, InputValidationError
-from .weibull import _log_inverse
+from .weibull import _log_inverse, _require_positive
 
 __all__ = [
     "BetaInterval",
@@ -135,6 +135,17 @@ class WRule:
         return cls(PIECEWISE96)
 
 
+def _require_w_above_inverse_beta(w: float, beta: float, context: str = "") -> None:
+    """The one test of w > 1/beta, on which a = xbar_R Gamma(w) / Gamma(w - 1/beta)
+    depends; ``context``, placed after the shape value, is message text only."""
+    if w - 1.0 / beta <= 0.0:
+        raise ElicitationConstraintError(
+            f"weight rule violates w > 1/beta at beta = {beta:.6g}{context} "
+            f"(w = {w:.6g}, 1/beta = {1.0 / beta:.6g}); deriving the scale hyperparameter "
+            "from an anticipated reliable life requires w > 1/beta"
+        )
+
+
 def _check_rule_admissible(rule: WRule, interval: BetaInterval) -> None:
     """Reject rules with w(beta) <= 1/beta anywhere on the interval.
 
@@ -146,13 +157,7 @@ def _check_rule_admissible(rule: WRule, interval: BetaInterval) -> None:
     """
     lo, hi = interval.beta1, interval.beta2
     b = min((lo, min(max(1.0, lo), hi)), key=lambda beta: rule(beta) - 1.0 / beta)
-    if rule(b) - 1.0 / b <= 0.0:
-        raise ElicitationConstraintError(
-            f"weight rule violates the constraint w > 1/beta at beta = {b:.6g} "
-            f"(w = {rule(b):.6g}, 1/beta = {1.0 / b:.6g}); deriving the scale "
-            "hyperparameter from an anticipated reliable life requires w(beta) > 1/beta "
-            "on the whole shape interval"
-        )
+    _require_w_above_inverse_beta(rule(b), b, " in the shape interval")
 
 
 @dataclass(frozen=True)
@@ -166,8 +171,7 @@ class PriorSpec:
     w_rule: WRule
 
     def __post_init__(self) -> None:
-        if not (self.xbar_R > 0.0 and math.isfinite(self.xbar_R)):
-            raise ValueError(f"xbar_R must be positive and finite, got {self.xbar_R!r}")
+        _require_positive("xbar_R", self.xbar_R)
         _log_inverse(self.R)
         _check_rule_admissible(self.w_rule, self.interval)
 
@@ -184,8 +188,7 @@ class VirtualSample:
 
     def __post_init__(self) -> None:
         for t in self.times:
-            if not (t > 0.0 and math.isfinite(t)):
-                raise ValueError(f"virtual times must be positive and finite, got {t!r}")
+            _require_positive("virtual times", t)
 
     @property
     def r_prime(self) -> int:
@@ -271,16 +274,14 @@ def hyper_a(xbar_R: float, w: float, beta: float) -> float:
     the 1/beta boundary, and w so large that Gamma(w) / Gamma(w - 1/beta)
     alone would overflow.
     """
-    if not (xbar_R > 0.0 and math.isfinite(xbar_R)):
-        raise ValueError(f"xbar_R must be positive and finite, got {xbar_R!r}")
-    if not (beta > 0.0 and 0.0 < w < math.inf):
-        raise ValueError("w must be positive and finite, and beta positive")
-    if w <= 1.0 / beta:
-        raise ElicitationConstraintError(
-            f"the anticipated-reliable-life conversion requires w > 1/beta; "
-            f"got w = {w:.6g} <= 1/beta = {1.0 / beta:.6g} at beta = {beta:.6g}"
-        )
-    return _exp_in_range(math.log(xbar_R) + float(_log_gamma_ratio(w, 1.0 / beta)),
+    for name, v in (("xbar_R", xbar_R), ("w", w), ("beta", beta)):
+        _require_positive(name, v)
+    _require_w_above_inverse_beta(w, beta)
+    # w as a numpy scalar: past w = 5.6e102 a Python float w**3 raises OverflowError,
+    # where this one is inf; the plain difference, nan there, gives way to the Stirling form
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ratio = float(_log_gamma_ratio(np.float64(w), 1.0 / beta))
+    return _exp_in_range(math.log(xbar_R) + log_ratio,
                          "a = xbar_R * Gamma(w) / Gamma(w - 1/beta)", xbar_R=xbar_R, w=w, beta=beta)
 
 
@@ -295,8 +296,7 @@ def _log_igg(log_x, beta, w, log_a_beta, lgamma_w):
 def igg_pdf(x_R: float, a: float, w: float, beta: float) -> float:
     """Inverted Generalized Gamma density at x_R > 0."""
     for name, v in (("x_R", x_R), ("a", a), ("w", w), ("beta", beta)):
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        _require_positive(name, v)
     # x_R / a at unit scale, then over a: the tail (x_R/a)**-beta comes from one log
     # difference; beta ln a - beta ln x_R loses up to 2.5e-12 relative far left
     log_a = math.log(a)

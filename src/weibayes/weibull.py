@@ -33,7 +33,7 @@ __all__ = [
 
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _log_inverse(R: float) -> float:

@@ -1,10 +1,13 @@
 """Command-line front end: record formats, exit codes, file handling."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weibayes import cli, mle, posterior
 from weibayes.censoring import load_sample_csv, type2_censor
@@ -440,3 +443,159 @@ class TestCalibrateBCommand:
     def test_degenerate_design_exits_3(self, capsys):
         rc = cli.main(["calibrate-b", "3", "1", "10000", "7"])
         assert rc == 2  # argument validation, not a sample property
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("time,status\n1.0,failed\n2.0,failed\n", "not a calibration cache, missing columns"),
+            ("n,r,B,replications,std_error,seed\n3,3\n", "line 2: expected 6 fields"),
+            ("n,r,B,replications,std_error,seed\nx,3,1.0,10000,0.1,1\n", "line 2: invalid literal"),
+        ],
+    )
+    def test_file_that_is_not_a_cache_exits_2_and_is_left_as_it_was(self, capsys, tmp_path, content, message):
+        path = tmp_path / "sample.csv"
+        path.write_text(content, encoding="utf-8")
+        assert cli.main(["calibrate-b", "3", "3", "10000", "1", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert path.read_text(encoding="utf-8") == content
+
+
+def _run(argv):
+    """cli.main's exit code and stderr; argparse's own exits count, any other exception fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected a flag value
+            return exc.code, None
+    return rc, err.getvalue()
+
+
+def _assert_total(argv):
+    rc, err = _run(argv)
+    assert rc in (0, 2, 3, 4), (argv, rc, err)
+    if err is not None and rc in (2, 3):
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    return rc
+
+
+_NUMBER_TEXT = st.sampled_from(
+    ["1", "2.5", "0", "-1", "-0.0", "nan", "inf", "-inf", "1e-320", "5e-324", "1.7e308", "1e400",
+     "0x1p-3", "", " ", "x", "1,5"]
+) | st.floats().map(repr)
+_FIELD = _NUMBER_TEXT | st.sampled_from(["failed", "censored", "FAILED", '"', "\x00", "\ufeff"]) | st.text(max_size=4)
+# well-formed values next to malformed ones, so that runs also get past validation
+_VALUE = st.floats(0.05, 20.0).map(repr) | _NUMBER_TEXT
+_STATUS = st.sampled_from(["failed", "failed", "censored"])
+_SAMPLE_ROW = st.tuples(_VALUE, _STATUS) | st.lists(_FIELD, max_size=3)
+_CACHE_ROW = (
+    st.lists(_FIELD, max_size=7)
+    | st.tuples(st.integers(-1, 4), st.integers(-1, 4), st.floats(), st.sampled_from([0, 10000]),
+                st.floats(), st.integers(0, 2)).map(lambda row: [str(v) for v in row])
+    | st.just(["3", "3", "0.5", "10000", "0.01", "1"])
+)
+_JSON_VALUE = (
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats()
+    | st.text(max_size=4) | st.lists(st.floats(), max_size=2) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _csv_text(header, rows, newline):
+    return newline.join([header, *(",".join(row) for row in rows)]) + newline
+
+
+class TestExitCodeTotality:
+    """Malformed files and flag values end in exit 0, 2, 3 or 4, never in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("totality")
+        prior = root / "prior.json"
+        prior.write_text(json.dumps(PRIOR_CASE_I), encoding="utf-8")
+        sample = root / "sample.csv"
+        sample.write_text("time,status\n0.8,failed\n1.3,failed\n2.1,censored\n", encoding="utf-8")
+        return root, str(prior), str(sample)
+
+    @_SETTINGS
+    @given(
+        st.sampled_from(["time,status", "status,time", "time", "time,status,extra", "", "\ufefftime,status"]),
+        st.lists(st.tuples(st.floats(1e-3, 1e3).map(repr), _STATUS), max_size=8),
+        st.lists(st.tuples(st.integers(0, 8), _SAMPLE_ROW), max_size=2),
+        st.sampled_from(["\n", "\r\n"]),
+        st.integers(0, 3),
+        st.binary(max_size=32),
+    )
+    def test_sample_csv(self, files, header, rows, inserted, newline, pick, raw):
+        root, prior, _ = files
+        path = root / "fuzz_sample.csv"
+        for at, row in inserted:
+            rows.insert(at, row)
+        if pick:
+            path.write_text(_csv_text(header, rows, newline), encoding="utf-8", newline="")
+        else:
+            path.write_bytes(raw)
+        _assert_total(["estimate", "--sample", str(path), "--prior", prior])
+        _assert_total(["mle", "--sample", str(path), "--reliability", "0.9"])
+
+    @_SETTINGS
+    @given(
+        st.dictionaries(st.sampled_from(sorted(PRIOR_CASE_I)), _JSON_VALUE, max_size=3),
+        st.sets(st.sampled_from(sorted(PRIOR_CASE_I)), max_size=2),
+        st.dictionaries(st.sampled_from(["extra", "kind", "value"]), _JSON_VALUE, max_size=2),
+        st.sampled_from(["const_over_beta", "fixed", "unit", "piecewise96", "bogus"]),
+        st.sampled_from([None, 1.1, 0.5, 3.0, 1e300, 1e-300]),
+        st.booleans(),
+    )
+    def test_prior_json(self, files, replace, drop, extra, kind, value, list_form):
+        root, _, sample = files
+        rule = {"kind": kind} if value is None else {"kind": kind, "value": value}
+        d = {**PRIOR_CASE_I, "w_rule": rule, **replace}
+        for key in drop:
+            d.pop(key, None)
+        d.update({k: v for k, v in extra.items() if k == "extra"})
+        if isinstance(d.get("w_rule"), dict):
+            d["w_rule"] = {**d["w_rule"], **{k: v for k, v in extra.items() if k != "extra"}}
+        path = root / "fuzz_prior.json"
+        path.write_text(json.dumps([d] if list_form else d), encoding="utf-8")
+        _assert_total(["estimate", "--sample", sample, "--prior", str(path)])
+        _assert_total(["mle", "--sample", sample, "--prior", str(path)])
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(["n,r,B,replications,std_error,seed", "seed,std_error,replications,B,r,n",
+                         "time,status", "n,r", "", "n,r,B,replications,std_error,seed,extra"]),
+        st.lists(_CACHE_ROW, max_size=4),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_calibration_cache(self, files, header, rows, newline):
+        root, _, _ = files
+        path = root / "fuzz_cache.csv"
+        content = _csv_text(header, rows, newline).encode("utf-8")
+        path.write_bytes(content)
+        if _assert_total(["calibrate-b", "3", "3", "10000", "1", "--out", str(path)]) != 0:
+            assert path.read_bytes() == content
+
+    @_SETTINGS
+    @given(_NUMBER_TEXT)
+    def test_estimate_rel_tol(self, files, rel_tol):
+        _, prior, sample = files
+        _assert_total(["estimate", "--sample", sample, "--prior", prior, "--rel-tol", rel_tol])
+
+    @_SETTINGS
+    @given(
+        st.sampled_from(["--a", "--xbar-r"]),
+        st.dictionaries(st.sampled_from(["--a", "--xbar-r", "--x-min", "--x-max"]), _VALUE, max_size=2),
+        _VALUE,
+        _VALUE,
+        st.none() | st.integers(-2, 64).map(str) | _NUMBER_TEXT,
+    )
+    def test_prior_pdf_flags(self, scale, flags, w, beta, points):
+        flags = {scale: "1.5", **flags}
+        argv = ["prior-pdf", "--w", w, "--beta", beta]
+        argv += [item for pair in flags.items() for item in pair]
+        if points is not None:
+            argv += ["--points", points]
+        _assert_total(argv)
+

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import shape_mle_brentq
-from weibayes.censoring import CensoredSample, log_likelihood, type2_censor
+from weibayes.censoring import CensoredSample, log_likelihood, type2_censor, type2_log_times
 from weibayes.errors import NoFiniteMleError
 from weibayes.mle import (
     _MAX_ITERATIONS,
+    _fit_rows,
     UnbiasingEntry,
     append_calibration_cache,
     calibrate_B,
@@ -225,6 +226,7 @@ class TestOracleBattery:
             )
 
 
+_TINIEST = math.ulp(0.0)  # 5e-324, the smallest positive double
 # rows with ties, a failure at 1e-300, times spanning 1e-200..1e200, all equal
 _TIES = [[1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0, 5.0],
          [1.0, 1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 7.0, 7.0]]
@@ -256,6 +258,23 @@ class TestSolverSafeguards:
         beta_hat, _, ok = fit_many(np.array(rows), r, 0.98)
         assert "".join("1" if v else "0" for v in ok) == expected
         assert np.isfinite(beta_hat).all()
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (3, 3), (5, 3), (10, 7), (40, 2), (40, 40)])
+    def test_coinciding_failures_have_no_root(self, n, r):
+        # all ln x of such a row are equal, so its score at the upper bracket end is
+        # 1e-6 plus the rounding of their mean: positive even where the mean rounds
+        # below ln x, as it does on some of this grid for r > 2
+        grid = np.exp(np.linspace(-700.0, 700.0, 2001))
+        log_grid = np.log(grid)
+        rounds_below = np.repeat(log_grid[:, None], r, axis=1).sum(axis=1) / r < log_grid
+        assert rounds_below.any() == (r > 2)
+        values = np.concatenate([[_TINIEST, sys.float_info.max], grid[rounds_below][:50], grid[::40]])
+        rows = np.repeat(values[:, None], n, axis=1)
+        rows[:, r:] = np.minimum(rows[:, r:], sys.float_info.max / 2.0) * 2.0  # censored items lie above
+        assert not fit_many(rows, r, 0.98)[2].any()
+        log_times = type2_log_times(rows, r)
+        has_root = _fit_rows(log_times, log_times[:, :r].sum(axis=1) / r, r, 0.98)[5]
+        assert not has_root.any()
 
     @pytest.mark.parametrize("shape", [0.05, 50.0])
     @pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (5, 2), (5, 5), (10, 3), (10, 10)])
@@ -318,9 +337,6 @@ class TestSolverSafeguards:
         assert len(counts) > 450
         assert max(counts) < _MAX_ITERATIONS
         assert np.median(counts) <= 10
-
-
-_TINIEST = math.ulp(0.0)  # 5e-324, the smallest positive double
 
 
 class TestProperties:
@@ -435,6 +451,14 @@ class TestCalibrationCache:
         table = read_calibration_cache(path)
         assert len(table) == 2
         assert table[(4, 2, 10**4, 7)] == other
+
+    def test_append_after_a_row_without_line_break(self, tmp_path):
+        path = tmp_path / "bcache.csv"
+        path.write_text("n,r,B,replications,std_error,seed\n3,3,0.5,10000,0.01,2", encoding="utf-8")
+        entry = calibrate_B(3, 3, 10**4, 1, cache_path=path)
+        assert read_calibration_cache(path) == {
+            (3, 3, 10**4, 2): UnbiasingEntry(3, 3, 0.5, 10**4, 0.01, 2), (3, 3, 10**4, 1): entry,
+        }
 
     def test_append_preserves_header(self, tmp_path):
         path = tmp_path / "bcache.csv"

@@ -124,6 +124,11 @@ class TestHyperA:
         product = math.prod(w - k for k in range(1, 11))
         assert math.isclose(hyper_a(1.0, w, 0.1), product, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("w", [1e103, 1e300])
+    def test_weight_whose_cube_overflows(self, w):
+        # Gamma(w) / Gamma(w - 1) = w - 1, which is w at these sizes
+        assert math.isclose(hyper_a(1.5, w, 1.0), 1.5 * w, rel_tol=1e-12)
+
     def test_ratio_beyond_the_double_range_with_a_small_anticipated_life(self):
         # Gamma(w) / Gamma(w - 10) ~ w**10 ~ e**715 overflows on its own, but a
         # does not; w - 10 rounds to w, so the plain difference gives ratio 1
@@ -153,6 +158,37 @@ class TestHyperA:
     def test_rejects_nonpositive_and_nonfinite_weight(self, bad):
         with pytest.raises(ValueError):
             hyper_a(1.0, bad, 1.0)
+
+    def test_rejects_infinite_shape(self):
+        # 1/beta = 0 would make the ratio 1 and a = xbar_R; igg_pdf rejects beta = inf too
+        with pytest.raises(ValueError, match="^beta must be positive and finite, got inf$"):
+            hyper_a(1.0, 2.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "build,context",
+    [
+        (lambda: PriorSpec(BetaInterval(0.5, 2.0), 1.0, 0.98, WRule.fixed(1.1)), " in the shape interval"),
+        (lambda: hyper_a(1.0, 1.1, 0.5), ""),
+        (
+            lambda: posterior.log_integrand(
+                0.5, 0, PriorSpec(BetaInterval(1.0, 3.0), 1.0, 0.98, WRule.fixed(1.1)),
+                CensoredSample.complete([1.0, 2.0]),
+            ),
+            " inside the integrand",
+        ),
+    ],
+    ids=["PriorSpec", "hyper_a", "log_integrand"],
+)
+def test_one_message_for_w_at_or_below_one_over_beta(build, context):
+    """PriorSpec, hyper_a and log_integrand share one check of w > 1/beta, told
+    apart only by the context after the shape value."""
+    with pytest.raises(ElicitationConstraintError) as info:
+        build()
+    assert str(info.value) == (
+        f"weight rule violates w > 1/beta at beta = 0.5{context} (w = 1.1, 1/beta = 2); "
+        "deriving the scale hyperparameter from an anticipated reliable life requires w > 1/beta"
+    )
 
 
 class TestLogGamma:
