@@ -11,6 +11,7 @@ top of the general representation.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -192,6 +193,17 @@ def log_likelihood(sample: CensoredSample, p: ReliableLifeWeibull) -> float:
     return value
 
 
+def _open_utf8(path, newline=None) -> io.StringIO:
+    """A UTF-8 file's text as a stream read as ``open(path, newline=newline)`` would;
+    bytes that are not UTF-8 raise InputValidationError naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise InputValidationError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_sample_csv(path) -> CensoredSample:
     """Read a sample from CSV with required header columns time,status.
 
@@ -201,7 +213,7 @@ def load_sample_csv(path) -> CensoredSample:
     """
     times: list[float] = []
     status: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise InputValidationError(f"{path}: empty file, expected a time,status header")

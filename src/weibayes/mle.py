@@ -26,19 +26,24 @@ Because the distribution of beta_hat/beta does not depend on the true
 parameters, the multiplicative unbiasing factor B with E[B*beta_hat] = beta
 depends only on (n, r); it is calibrated by Monte Carlo on the unit
 exponential and can be cached on disk keyed by (n, r, replications, seed).
+The calibration fits its rows in contiguous blocks of at least 5,000, one
+thread per CPU the process may run on; rows are fitted independently, so the
+entry does not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, type2_log_times
+from .censoring import CensoredSample, _open_utf8, type2_log_times
 from .errors import InputValidationError, NoFiniteMleError
 from .weibull import _log_inverse, _require_positive
 
@@ -65,6 +70,10 @@ _STEP_TOL = 4.0 * np.finfo(float).eps
 # shape values outside this bracket count as no finite estimate
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 1e6
+# fewest calibration rows per thread: with two threads, _fit_rows ran 0.28-0.94x as
+# fast on 500-2,000 rows (per-iteration bookkeeping holds the GIL), 1.09-1.52x on
+# 5,000 and 1.51-1.63x on 10,000
+_MIN_BLOCK_ROWS = 5000
 
 
 @dataclass(frozen=True)
@@ -250,8 +259,12 @@ def calibrate_B(
         if cached is not None:
             return cached
     rng = np.random.default_rng([seed, n, r])
-    draws = np.sort(rng.standard_exponential((int(replications), n)), axis=1)
-    beta_hat, _, ok = fit_many(draws, r, R=0.5)  # R is irrelevant to beta_hat
+    draws = rng.standard_exponential((int(replications), n))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blocks = np.array_split(draws, max(1, min(cpus or 1, len(draws) // _MIN_BLOCK_ROWS)))
+    # rows are fitted independently, so any split gives the same bits; R is irrelevant to beta_hat
+    fits = _in_threads(lambda block: fit_many(np.sort(block, axis=1), r, R=0.5)[::2], blocks)
+    beta_hat, ok = map(np.concatenate, zip(*fits))
     if not ok.all():
         warnings.warn(
             f"excluded {int((~ok).sum())} degenerate replications from the calibration mean",
@@ -264,6 +277,32 @@ def calibrate_B(
     if cache_path is not None:
         append_calibration_cache(cache_path, entry)
     return entry
+
+
+def _in_threads(func, blocks: list) -> list:
+    """func on each block: the first in the calling thread, each other in a thread of
+    its own, every one in a copy of the caller's context (numpy's errstate lives there).
+    After every join, the first exception in block order is raised here."""
+    results = [None] * len(blocks)
+
+    def run(i):
+        try:
+            results[i] = func(blocks[i])
+        except BaseException as exc:
+            results[i] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i)) for i in range(1, len(blocks))
+    ]
+    for thread in threads:
+        thread.start()
+    contextvars.copy_context().run(run, 0)
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def unbiased_beta(
@@ -287,10 +326,11 @@ def calibration_row(entry: UnbiasingEntry) -> str:
 
 def read_calibration_cache(path) -> dict[tuple[int, int, int, int], UnbiasingEntry]:
     """Entries of a calibration cache keyed by (n, r, replications, seed); an empty
-    file has none.  A missing column, a row of the wrong length or a malformed value
-    raises InputValidationError naming the file and, for a row, its line."""
+    file has none.  Text that is not UTF-8, a missing column, a row of the wrong length
+    or a malformed value raises InputValidationError naming the file and, for a row,
+    its line."""
     entries: dict[tuple[int, int, int, int], UnbiasingEntry] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return entries

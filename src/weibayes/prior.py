@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample
+from .censoring import CensoredSample, _open_utf8
 from .errors import ElicitationConstraintError, InputValidationError
 from .weibull import _log_inverse, _require_positive
 
@@ -341,9 +341,10 @@ def prior_from_virtual_sample(v: VirtualSample, R: float, beta: float) -> tuple[
 
 
 def read_json(path):
-    """Parse a JSON file; malformed JSON raises InputValidationError naming the file."""
+    """Parse a JSON file; malformed JSON or text that is not UTF-8 raises
+    InputValidationError naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_utf8(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputValidationError(f"{path}: invalid JSON ({exc})") from None

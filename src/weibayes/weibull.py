@@ -37,10 +37,12 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _log_inverse(R: float) -> float:
-    """K = ln(1/R) of a reliability level R strictly inside (0, 1)."""
+    """K = ln(1/R) of a reliability level R strictly inside (0, 1).  For R below about
+    5.6e-309, 1/R overflows, and -ln R (at most 744.5) takes its place."""
     if not (0.0 < R < 1.0):
         raise ValueError(f"R must lie strictly inside (0, 1), got {R!r}")
-    return math.log(1.0 / R)
+    K = math.log(1.0 / R)
+    return K if K < math.inf else -math.log(R)
 
 
 @dataclass(frozen=True)

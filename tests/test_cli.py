@@ -461,23 +461,49 @@ class TestCalibrateBCommand:
         assert path.read_text(encoding="utf-8") == content
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--sample", "{bad}", "--prior", "{prior}"],
+        ["estimate", "--sample", "{sample}", "--prior", "{bad}"],
+        ["mle", "--sample", "{bad}"],
+        ["simulate", "--config", "{bad}"],
+        ["calibrate-b", "3", "3", "10000", "1", "--out", "{bad}"],
+    ],
+    ids=["sample", "prior", "mle-sample", "config", "cache"],
+)
+def test_file_that_is_not_utf8_is_named_and_left_as_it_was(capsys, tmp_path, sample_path, prior_path, argv):
+    bad = tmp_path / "latin1.txt"
+    content = b"\x80\x81time,status\n"
+    bad.write_bytes(content)
+    argv = [a.format(bad=bad, sample=sample_path, prior=prior_path) for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0x80")
+    assert err.count("\n") == 1
+    assert bad.read_bytes() == content
+
+
 def _run(argv):
-    """cli.main's exit code and stderr; argparse's own exits count, any other exception fails."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """cli.main's exit code, stdout and stderr; argparse's own exits count (with no
+    output), any other exception fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # argparse rejected a flag value
-            return exc.code, None
-    return rc, err.getvalue()
+            return exc.code, None, None
+    return rc, out.getvalue(), err.getvalue()
 
 
 def _assert_total(argv):
-    rc, err = _run(argv)
+    """Exit code and stdout of a run that must end in 0, 2, 3 or 4, and for 2 and 3
+    in one ``error:`` line."""
+    rc, out, err = _run(argv)
     assert rc in (0, 2, 3, 4), (argv, rc, err)
     if err is not None and rc in (2, 3):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    return rc
+    return rc, out
 
 
 _NUMBER_TEXT = st.sampled_from(
@@ -500,6 +526,35 @@ _JSON_VALUE = (
     | st.text(max_size=4) | st.lists(st.floats(), max_size=2) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
 )
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# wrong types, null, non-finite, subnormal, zero and negative numbers for a config field;
+# the small form holds no number above 20, so that n, r and replications keep runs tiny
+_ODD_SMALL = (
+    st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=2)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e-320, -0.0, 0.0, -1.0, 2.5, "3"])
+)
+_ODD = _ODD_SMALL | st.sampled_from([1.7976931348623157e308, 1e30, 10**30])
+_RELIABILITY = st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, 0.9999999999999999])
+# a valid tiny design; each field's strategy mixes valid values with _ODD ones
+_CONFIG = {
+    "true_beta": 1.0, "n": 3, "r": 3, "seed": 42, "true_x_R": 1.0, "R": 0.98,
+    "replications": 20, "prior_cases": ["I"], "w_rules": ["1.1/beta"],
+}
+_CONFIG_FIELD = {
+    "true_beta": st.sampled_from([2.0, 1.0, 0.6]) | _ODD,
+    "n": st.integers(1, 6) | _ODD_SMALL,
+    "r": st.integers(1, 6) | _ODD_SMALL,
+    "seed": st.integers(-1, 2**70) | _ODD,
+    "true_x_R": st.floats(1e-3, 1e3) | _ODD,
+    "R": _RELIABILITY | _ODD,
+    "replications": st.integers(-1, 20) | _ODD_SMALL,
+    "prior_cases": st.lists(st.sampled_from(["I", "V", "IX", "X"]), min_size=1, max_size=1) | _ODD,
+    "w_rules": st.lists(
+        st.sampled_from(["1.1/beta", "1/beta1+0.1", "unit", "piecewise96", "fixed:2", "fixed:x",
+                         "0.5/beta", "bogus", "nan/beta", "inf/beta", "fixed:5e-324"]),
+        min_size=1, max_size=1,
+    ) | _ODD,
+}
 
 
 def _csv_text(header, rows, newline):
@@ -525,7 +580,7 @@ class TestExitCodeTotality:
         st.lists(st.tuples(st.integers(0, 8), _SAMPLE_ROW), max_size=2),
         st.sampled_from(["\n", "\r\n"]),
         st.integers(0, 3),
-        st.binary(max_size=32),
+        st.binary(max_size=32) | st.binary(max_size=8).map(b"\x80\x81".__add__),
     )
     def test_sample_csv(self, files, header, rows, inserted, newline, pick, raw):
         root, prior, _ = files
@@ -574,8 +629,59 @@ class TestExitCodeTotality:
         path = root / "fuzz_cache.csv"
         content = _csv_text(header, rows, newline).encode("utf-8")
         path.write_bytes(content)
-        if _assert_total(["calibrate-b", "3", "3", "10000", "1", "--out", str(path)]) != 0:
+        if _assert_total(["calibrate-b", "3", "3", "10000", "1", "--out", str(path)])[0] != 0:
             assert path.read_bytes() == content
+
+    @_SETTINGS
+    @given(
+        st.lists(st.sampled_from(sorted(_CONFIG_FIELD)).flatmap(
+            lambda key: st.tuples(st.just(key), _CONFIG_FIELD[key])), max_size=2),
+        st.sets(st.sampled_from(["true_beta", "n", "r", "seed", "true_x_R", "R"]), max_size=1),
+    )
+    def test_simulate_config(self, files, replace, drop):
+        root, _, _ = files
+        cfg = {**_CONFIG, **dict(replace)}
+        for key in drop:
+            del cfg[key]
+        path = root / "fuzz_config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc, out = _assert_total(["simulate", "--config", str(path)])
+        if rc == 0:
+            # a cell reports nan exactly when every replication failed
+            (_, rq_x, rq_beta, failures), = (line.split(",") for line in out.splitlines()[1:])
+            replications = int(cfg.get("replications", 2000))
+            assert 0 <= int(failures) <= replications
+            assert math.isnan(float(rq_x)) == math.isnan(float(rq_beta)) == (int(failures) == replications)
+
+    @_SETTINGS
+    @given(_RELIABILITY | _ODD)
+    def test_simulate_config_reliability(self, files, R):
+        # the design is valid, so any R strictly inside (0, 1) gives a run without failures
+        root, _, _ = files
+        path = root / "fuzz_config.json"
+        path.write_text(json.dumps({**_CONFIG, "R": R}), encoding="utf-8")
+        rc, out = _assert_total(["simulate", "--config", str(path)])
+        if isinstance(R, float) and 0.0 < R < 1.0:
+            assert rc == 0 and out.splitlines()[1].endswith(",0"), (R, rc, out)
+
+    @_SETTINGS
+    @given(_NUMBER_TEXT | _RELIABILITY.map(repr))
+    def test_mle_reliability(self, files, reliability):
+        # beta_hat and alpha_hat do not depend on R, and on this sample x_R_hat is
+        # finite for every R strictly inside (0, 1)
+        _, _, sample = files
+        rc, out = _assert_total(["mle", "--sample", sample, "--reliability", reliability])
+        try:
+            R = float(reliability)
+        except ValueError:
+            return
+        if 0.0 < R < 1.0:
+            expected = mle.fit(load_sample_csv(sample), 0.5)
+            assert rc == 0, (reliability, rc)
+            record = dict(line.split("=") for line in out.splitlines())
+            assert float(record["alpha_hat"]) == expected.alpha_hat
+            assert float(record["beta_hat"]) == expected.beta_hat
+            assert 0.0 < float(record["x_R_hat"]) < math.inf
 
     @_SETTINGS
     @given(_NUMBER_TEXT)

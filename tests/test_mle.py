@@ -1,7 +1,9 @@
 """Maximum-likelihood baseline: profile score, root solve, calibration."""
 
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import shape_mle_brentq
+from weibayes import mle
 from weibayes.censoring import CensoredSample, log_likelihood, type2_censor, type2_log_times
 from weibayes.errors import NoFiniteMleError
 from weibayes.mle import (
@@ -91,6 +94,15 @@ class TestProfileEquation:
 
 
 class TestFit:
+    def test_subnormal_reliability_level(self):
+        # 1/R overflows at R = 5e-324, but K = -ln R = 744.4 is finite
+        s = CensoredSample.complete([1.0, 2.0])
+        result, at_half = fit(s, 5e-324), fit(s, 0.5)
+        assert result.converged
+        assert (result.alpha_hat, result.beta_hat) == (at_half.alpha_hat, at_half.beta_hat)
+        expected = result.alpha_hat * (-math.log(5e-324)) ** (1.0 / result.beta_hat)
+        assert math.isclose(result.x_R_hat, expected, rel_tol=1e-13)
+
     def test_complete_pair_against_brentq(self):
         s = CensoredSample.complete([1.0, 2.0])
         result = fit(s, 0.98)
@@ -419,6 +431,80 @@ class TestCalibration:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
             calibrate_B(3, 3, 10**4, -1)
+
+
+def _fake_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _spy_blocks(monkeypatch, record):
+    """Make mle.fit_many call ``record(sorted_times)`` before fitting."""
+    real = mle.fit_many
+
+    def spy(sorted_times, r, R):
+        record(sorted_times)
+        return real(sorted_times, r, R)
+
+    monkeypatch.setattr(mle, "fit_many", spy)
+
+
+class TestCalibrationBlocks:
+    """calibrate_B fits its rows in one block per CPU, at least 5,000 rows each."""
+
+    @pytest.mark.parametrize(
+        "n,r,replications", [(3, 3, 10**4), (10, 4, 10**4), (40, 16, 10**4), (5, 3, 12_345), (20, 8, 20_000)]
+    )
+    def test_every_cpu_count_gives_the_serial_entry(self, monkeypatch, n, r, replications):
+        # the serial computation: one sort and one fit_many over every row
+        draws = np.random.default_rng([7, n, r]).standard_exponential((replications, n))
+        beta_hat, _, ok = fit_many(np.sort(draws, axis=1), r, R=0.5)
+        beta_hat = beta_hat[ok]
+        mean = float(beta_hat.mean())
+        std_error = float(beta_hat.std(ddof=1) / (math.sqrt(beta_hat.size) * mean**2))
+        serial = UnbiasingEntry(n, r, 1.0 / mean, replications, std_error, 7)
+        for cpus in (1, 2, 3, 4):
+            sizes = []
+            with monkeypatch.context() as patch:
+                _fake_cpus(patch, cpus)
+                _spy_blocks(patch, lambda block: sizes.append(len(block)))
+                before = threading.active_count()
+                assert calibrate_B(n, r, replications, 7) == serial
+                assert threading.active_count() == before
+            blocks = max(1, min(cpus, replications // 5000))
+            assert sorted(sizes) == sorted(len(b) for b in np.array_split(draws, blocks))
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        serial = calibrate_B(3, 3, 10**4, 5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sizes = []
+        _spy_blocks(monkeypatch, lambda block: sizes.append(len(block)))
+        assert calibrate_B(3, 3, 10**4, 5) == serial
+        assert sizes == [5000, 5000]
+
+    def test_helper_threads_see_the_callers_errstate(self, monkeypatch):
+        _fake_cpus(monkeypatch, 4)
+        seen = []
+        _spy_blocks(monkeypatch, lambda block: seen.append((threading.current_thread(), np.geterr())))
+        with np.errstate(all="ignore"):  # the default warns on divide, over and invalid
+            expected = np.geterr()
+            calibrate_B(3, 3, 20_000, 1)
+        assert len({thread for thread, _ in seen}) == 4
+        assert [errs for _, errs in seen] == [expected] * 4
+
+    def test_exception_in_a_helper_reaches_the_caller(self, monkeypatch):
+        _fake_cpus(monkeypatch, 2)
+
+        def fail_off_the_calling_thread(block):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper block failed")
+
+        _spy_blocks(monkeypatch, fail_off_the_calling_thread)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper block failed"):
+            calibrate_B(3, 3, 10**4, 1)
+        assert threading.active_count() == before
 
 
 class TestUnbiasedBeta:

@@ -178,6 +178,13 @@ class TestEstimate:
                     assert abs(est.x_R_tilde / xbar - 1.0) < 1e-6
                     assert abs(est.beta_tilde / iv.midpoint - 1.0) < 1e-6
 
+    def test_subnormal_reliability_level(self):
+        # 1/R overflows at R = 5e-324; K = -ln R = 744.4 keeps the estimate finite
+        spec = PriorSpec(BetaInterval(1.0, 3.0), 1.0, 5e-324, WRule.const_over_beta(1.1))
+        est = estimate(spec, golden_sample())
+        assert est.converged
+        assert 0.0 < est.x_R_tilde < math.inf and 1.0 < est.beta_tilde < 3.0
+
     def test_scale_equivariance(self):
         c = 7.3
         s = golden_sample()

@@ -226,3 +226,11 @@ class TestValidation:
     def test_K_is_derived_from_R(self):
         p = ReliableLifeWeibull(3.0, 1.2, 0.98)
         assert p.K == math.log(1.0 / 0.98)
+
+    @pytest.mark.parametrize("R", [0.5, 1e-300, 2.2250738585072014e-308])
+    def test_K_keeps_ln_of_one_over_R_where_it_is_finite(self, R):
+        assert ReliableLifeWeibull(3.0, 1.2, R).K == math.log(1.0 / R)
+
+    @pytest.mark.parametrize("R", [5.5e-309, 1e-320, 5e-324])
+    def test_K_at_subnormal_R_where_one_over_R_overflows(self, R):
+        assert ReliableLifeWeibull(3.0, 1.2, R).K == -math.log(R) < 745.0
