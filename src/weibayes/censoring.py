@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .weibull import ReliableLifeWeibull, _require_positive
+from .weibull import ReliableLifeWeibull, _require_count, _require_positive
 
 __all__ = [
     "FAILED",
@@ -147,9 +147,9 @@ def type2_censor(times: Sequence[float], r: int) -> CensoredSample:
     n = len(ordered)
     if n == 0:
         raise ValueError("cannot censor an empty sample")
-    if not 1 <= int(r) <= n:
+    _require_count("r", r, None)
+    if not 1 <= r <= n:
         raise ValueError(f"r must satisfy 1 <= r <= n = {n}, got {r}")
-    r = int(r)
     cutoff = ordered[r - 1]
     return CensoredSample(
         times=tuple(ordered[:r]) + (cutoff,) * (n - r),

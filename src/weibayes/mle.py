@@ -45,7 +45,7 @@ import numpy as np
 
 from .censoring import CensoredSample, _open_utf8, type2_log_times
 from .errors import InputValidationError, NoFiniteMleError
-from .weibull import _log_inverse, _require_positive
+from .weibull import _log_inverse, _require_count, _require_positive
 
 __all__ = [
     "CACHE_FIELDS",
@@ -247,19 +247,17 @@ def calibrate_B(
     keyed by (n, r, replications, seed) is reused if present and appended
     otherwise.
     """
+    counts = (("n", n, None), ("r", r, None), ("replications", replications, 10**4), ("seed", seed, 0))
+    for name, value, least in counts:
+        _require_count(name, value, least)
     if not 2 <= r <= n:
         raise ValueError(f"calibration needs 2 <= r <= n, got r = {r}, n = {n}")
-    if replications < 10**4:
-        raise ValueError("calibration needs at least 1e4 replications")
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
     if cache_path is not None and os.path.exists(cache_path):
-        cached = read_calibration_cache(cache_path).get((n, r, int(replications), seed))
+        cached = read_calibration_cache(cache_path).get((n, r, replications, seed))
         if cached is not None:
             return cached
     rng = np.random.default_rng([seed, n, r])
-    draws = rng.standard_exponential((int(replications), n))
+    draws = rng.standard_exponential((replications, n))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     blocks = np.array_split(draws, max(1, min(cpus or 1, len(draws) // _MIN_BLOCK_ROWS)))
     # rows are fitted independently, so any split gives the same bits; R is irrelevant to beta_hat
@@ -273,7 +271,7 @@ def calibrate_B(
         beta_hat = beta_hat[ok]
     mean = float(beta_hat.mean())
     std_error = float(beta_hat.std(ddof=1) / (math.sqrt(beta_hat.size) * mean**2))
-    entry = UnbiasingEntry(int(n), int(r), 1.0 / mean, int(replications), std_error, seed)
+    entry = UnbiasingEntry(n, r, 1.0 / mean, replications, std_error, seed)
     if cache_path is not None:
         append_calibration_cache(cache_path, entry)
     return entry

@@ -53,6 +53,7 @@ import numpy as np
 from .censoring import CensoredSample, log_pow_sums, logsumexp
 from .errors import PriorDominanceWarning, QuadratureConvergenceWarning
 from .prior import PriorSpec, _lgamma, _log_gamma_ratio, _log_igg, _require_w_above_inverse_beta
+from .weibull import _require_count
 
 __all__ = [
     "QuadratureSettings",
@@ -121,8 +122,7 @@ class QuadratureSettings:
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be at least 1")
+        _require_count("max_panels", self.max_panels, 1)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ class WRule:
         if self.kind not in _W_RULE_KINDS:
             raise ValueError(f"unknown weight rule kind {self.kind!r}")
         if self.kind in (CONST_OVER_BETA, FIXED):
-            if not (isinstance(self.value, numbers.Real) and 0.0 < self.value < math.inf):
+            real = isinstance(self.value, numbers.Real) and not isinstance(self.value, bool)
+            if not (real and 0.0 < self.value < math.inf):
                 raise ValueError(f"rule {self.kind!r} needs a positive value, got {self.value!r}")
         elif self.value is not None:
             raise ValueError(f"rule {self.kind!r} takes no value")
@@ -247,7 +248,7 @@ def _log_gamma_ratio(w, d, plain=None):
         return plain
     stirling = (
         d * np.log(w) - (z - 0.5) * np.log1p(-d / w) - d
-        + (1.0 / w - 1.0 / z) / 12.0 - (1.0 / w**3 - 1.0 / z**3) / 360.0
+        + (1.0 / w - 1.0 / z) / 12.0 - ((1.0 / w) ** 3 - (1.0 / z) ** 3) / 360.0
     )
     return np.where(big, stirling, plain)
 
@@ -277,10 +278,8 @@ def hyper_a(xbar_R: float, w: float, beta: float) -> float:
     for name, v in (("xbar_R", xbar_R), ("w", w), ("beta", beta)):
         _require_positive(name, v)
     _require_w_above_inverse_beta(w, beta)
-    # w as a numpy scalar: past w = 5.6e102 a Python float w**3 raises OverflowError,
-    # where this one is inf; the plain difference, nan there, gives way to the Stirling form
     with np.errstate(over="ignore", invalid="ignore"):
-        log_ratio = float(_log_gamma_ratio(np.float64(w), 1.0 / beta))
+        log_ratio = float(_log_gamma_ratio(w, 1.0 / beta))
     return _exp_in_range(math.log(xbar_R) + log_ratio,
                          "a = xbar_R * Gamma(w) / Gamma(w - 1/beta)", xbar_R=xbar_R, w=w, beta=beta)
 
@@ -362,6 +361,14 @@ def check_fields(d, what: str, required: set, optional: set = frozenset()) -> No
         raise InputValidationError(f"{what} has unknown fields: {sorted(unknown)}")
 
 
+def json_number(d, name: str) -> float:
+    """d[name] as a float; anything but a JSON number raises InputValidationError naming it."""
+    value = d[name]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputValidationError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def prior_spec_from_dict(d) -> PriorSpec:
     """Build a PriorSpec from its JSON object form.
 
@@ -374,8 +381,8 @@ def prior_spec_from_dict(d) -> PriorSpec:
     rule = d["w_rule"]
     check_fields(rule, "w_rule", {"kind"}, {"value"})
     try:
-        interval = BetaInterval(float(d["beta1"]), float(d["beta2"]))
-        return PriorSpec(interval=interval, xbar_R=float(d["xbar_R"]), R=float(d["R"]),
+        interval = BetaInterval(json_number(d, "beta1"), json_number(d, "beta2"))
+        return PriorSpec(interval=interval, xbar_R=json_number(d, "xbar_R"), R=json_number(d, "R"),
                          w_rule=WRule(rule["kind"], rule.get("value")))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputValidationError(str(exc)) from None

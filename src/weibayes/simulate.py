@@ -26,7 +26,7 @@ import numpy as np
 from . import mle, posterior, weibull
 from .censoring import type2_log_times
 from .errors import InputValidationError
-from .prior import BetaInterval, PriorSpec, WRule, check_fields, read_json
+from .prior import BetaInterval, PriorSpec, WRule, check_fields, json_number, read_json
 from .posterior import QuadratureSettings
 
 __all__ = [
@@ -125,9 +125,10 @@ class ExperimentConfig:
     w_rules: tuple[str, ...] = STANDARD_W_LABELS
 
     def __post_init__(self) -> None:
+        for name, least in (("n", None), ("r", None), ("replications", 1), ("seed", 0)):
+            weibull._require_count(name, getattr(self, name), least)
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r = {self.r}, n = {self.n}")
-        _check_run(self.replications, self.seed)
         for name in ("prior_cases", "w_rules"):
             labels = getattr(self, name)
             if not (isinstance(labels, tuple) and labels and all(isinstance(x, str) for x in labels)):
@@ -135,13 +136,6 @@ class ExperimentConfig:
         for label in self.prior_cases:
             if label not in CASE_LABELS:
                 raise ValueError(f"unknown prior case {label!r}")
-
-
-def _check_run(replications: int, seed: int) -> None:
-    if replications < 1:
-        raise ValueError("replications must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
 
 
 def build_case(label: str, true_beta: float, true_x_R: float = 1.0) -> CaseDefinition:
@@ -336,7 +330,8 @@ def run_mle_row(
     the unbiased shape estimate B*beta_hat.  Replications without a finite,
     converged MLE are excluded and counted in ``failures``; if none is left,
     the metrics have count 0 and nan bias, std_dev and rmse, and DS is nan."""
-    _check_run(replications, seed)
+    weibull._require_count("replications", replications, 1)
+    weibull._require_count("seed", seed, 0)
     model = weibull.ReliableLifeWeibull(x_R=1.0, beta=true_beta, R=R)
     beta_hat, x_R_hat, ok = mle.fit_many(_sorted_draws(model, n, replications, seed, n, r), r, R)
     m_x, m_beta = _summary(x_R_hat, ok, 1.0), _summary(beta_hat, ok, true_beta)
@@ -417,32 +412,22 @@ def paper_format(value: float) -> str:
 
 
 def experiment_config_from_dict(d) -> ExperimentConfig:
-    """Build an ExperimentConfig from its JSON object form."""
+    """Build an ExperimentConfig from its JSON object form: the real fields must be JSON
+    numbers and become floats, the label lists become tuples, the rest pass as given."""
     check_fields(
         d,
         "experiment configuration",
         {"true_beta", "n", "r", "seed"},
         {"true_x_R", "R", "replications", "prior_cases", "w_rules"},
     )
+    # a JSON string must reach the label check whole, not split into characters
+    fields = {name: tuple(v) if name in ("prior_cases", "w_rules") and isinstance(v, list) else v
+              for name, v in d.items()}
     try:
-        return ExperimentConfig(
-            true_beta=float(d["true_beta"]),
-            n=int(d["n"]),
-            r=int(d["r"]),
-            seed=int(d["seed"]),
-            true_x_R=float(d.get("true_x_R", 1.0)),
-            R=float(d.get("R", 0.98)),
-            replications=int(d.get("replications", 2000)),
-            prior_cases=_tuple_if_list(d.get("prior_cases", CASE_LABELS)),
-            w_rules=_tuple_if_list(d.get("w_rules", STANDARD_W_LABELS)),
-        )
+        fields.update({name: json_number(d, name) for name in ("true_beta", "true_x_R", "R") if name in d})
+        return ExperimentConfig(**fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputValidationError(str(exc)) from None
-
-
-def _tuple_if_list(value):
-    # a JSON string must reach the label check whole, not split into characters
-    return tuple(value) if isinstance(value, list) else value
 
 
 def load_experiment_config(path) -> ExperimentConfig:

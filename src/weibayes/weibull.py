@@ -14,6 +14,7 @@ why this form is primary everywhere in the package.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -34,6 +35,15 @@ __all__ = [
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_count(name: str, value: int, least: int | None) -> None:
+    """The one test of a count or seed: an integer (numpy's too, not a bool), and at
+    least ``least`` unless that is None, where the caller checks the range itself."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be " + (f"at least {least}" if least else "a nonnegative integer"))
 
 
 def _log_inverse(R: float) -> float:
@@ -129,8 +139,7 @@ def sample(p: ReliableLifeWeibull, n: int, rng: np.random.Generator) -> np.ndarr
     function of the generator state, and scaling x_R rescales the draws
     without touching the stream.
     """
-    if n < 1:
-        raise ValueError("need at least one draw")
+    _require_count("n", n, 1)
     return _inverse_transform(p, rng.random(n))
 
 

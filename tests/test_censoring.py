@@ -66,6 +66,14 @@ class TestType2Censor:
         with pytest.raises(ValueError):
             type2_censor([1.0, 2.0, 3.0], r)
 
+    @pytest.mark.parametrize("r", [2.7, 2.0, True, "2"])
+    def test_r_must_be_an_integer(self, r):
+        with pytest.raises(ValueError, match=f"^r must be an integer, got {r!r}$"):
+            type2_censor([1.0, 2.0, 3.0], r)
+
+    def test_numpy_integer_r(self):
+        assert type2_censor([3.0, 1.0, 2.0], np.int64(2)) == type2_censor([3.0, 1.0, 2.0], 2)
+
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError):
             type2_censor([1.0, -2.0], 1)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from weibayes import cli, mle, posterior
 from weibayes.censoring import load_sample_csv, type2_censor
+from weibayes.errors import PriorDominanceWarning
 from weibayes.prior import BetaInterval, PriorSpec, WRule, load_prior_spec
 from weibayes.weibull import ReliableLifeWeibull, sample
 
@@ -87,6 +89,20 @@ class TestEstimateCommand:
         assert rc == 4
         assert out["converged"] == "false" and float(out["error_estimate"]) > 1e-20
         assert int(out["node_count"]) == 21 * (2 * posterior.QuadratureSettings().max_panels - 1)
+
+    def test_huge_fixed_weight_raises_no_overflow_warning(self, capsys, tmp_path):
+        # the Stirling tail of ln(Gamma(w) / Gamma(w - 1/beta)) once cubed w and overflowed
+        sample = tmp_path / "sample.csv"
+        sample.write_text("time,status\n0.62,failed\n0.91,failed\n1.24,failed\n1.24,censored\n1.24,censored\n",
+                          encoding="utf-8")
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({**PRIOR_CASE_I, "w_rule": {"kind": "fixed", "value": 1e300}}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", PriorDominanceWarning)
+            rc = cli.main(["estimate", "--sample", str(sample), "--prior", str(prior)])
+        assert rc in (0, 4)  # 4 while the estimate at this weight does not converge
+        assert capsys.readouterr().err == ""
 
     def test_empty_sample_file_exits_2(self, capsys, tmp_path, prior_path):
         empty = tmp_path / "empty.csv"
@@ -382,6 +398,14 @@ class TestSimulateCommand:
             ({"w_rules": "unit"}, "w_rules must be a non-empty list of strings"),
             ({"w_rules": []}, "w_rules must be a non-empty list of strings"),
             ({"w_rules": [1.1]}, "w_rules must be a non-empty list of strings"),
+            ({"seed": 0.5}, "seed must be an integer, got 0.5"),
+            ({"seed": 1e308}, "seed must be an integer, got 1e+308"),
+            ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+            ({"n": 3.9}, "n must be an integer, got 3.9"),
+            ({"r": True}, "r must be an integer, got True"),
+            ({"true_beta": True}, "true_beta must be a number, got true"),
+            ({"true_x_R": "10"}, 'true_x_R must be a number, got "10"'),
+            ({"R": False}, "R must be a number, got false"),
         ],
     )
     def test_malformed_config_exits_2(self, capsys, tmp_path, change, message):

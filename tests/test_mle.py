@@ -20,6 +20,7 @@ from weibayes.mle import (
     UnbiasingEntry,
     append_calibration_cache,
     calibrate_B,
+    calibration_row,
     fit,
     fit_many,
     profile_equation,
@@ -432,6 +433,27 @@ class TestCalibration:
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
             calibrate_B(3, 3, 10**4, -1)
 
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            ((3, 3, 10**4, 7.0), "seed"),
+            ((3, 3, 10**4, 0.5), "seed"),
+            ((3, 3, 10**4, True), "seed"),
+            ((3, 3, 1e4, 7), "replications"),
+            ((3, 3, 12345.6, 7), "replications"),
+            ((3, 3, True, 7), "replications"),
+            ((3.0, 3, 10**4, 7), "n"),
+            ((3, 2.9, 10**4, 7), "r"),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            calibrate_B(*args)
+
+    def test_numpy_integers_give_the_same_entry(self):
+        args = (5, 3, 10**4, 7)
+        assert calibrate_B(*map(np.int64, args)) == calibrate_B(*args)
+
 
 def _fake_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
@@ -545,6 +567,17 @@ class TestCalibrationCache:
         assert read_calibration_cache(path) == {
             (3, 3, 10**4, 2): UnbiasingEntry(3, 3, 0.5, 10**4, 0.01, 2), (3, 3, 10**4, 1): entry,
         }
+
+    def test_empty_file_gets_the_header_and_one_row(self, tmp_path):
+        path = tmp_path / "bcache.csv"
+        path.write_bytes(b"")
+        entry = calibrate_B(3, 3, 10**4, 1, cache_path=path)
+        assert entry == calibrate_B(3, 3, 10**4, 1)
+        content = path.read_text(encoding="utf-8")
+        assert content == "n,r,B,replications,std_error,seed\n" + calibration_row(entry) + "\n"
+        # the second call reads that row back and appends nothing
+        assert calibrate_B(3, 3, 10**4, 1, cache_path=path) == entry
+        assert path.read_text(encoding="utf-8") == content
 
     def test_append_preserves_header(self, tmp_path):
         path = tmp_path / "bcache.csv"

@@ -515,7 +515,9 @@ class TestQuadratureSettings:
         assert (q.rel_tol, q.max_panels) == (1e-8, 100)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(max_panels=0), dict(max_panels=-1), dict(rel_tol=0.0), dict(rel_tol=math.nan)]
+        "kwargs",
+        [dict(max_panels=0), dict(max_panels=-1), dict(max_panels=2.5), dict(max_panels=True),
+         dict(rel_tol=0.0), dict(rel_tol=math.nan)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

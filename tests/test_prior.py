@@ -146,6 +146,13 @@ class TestHyperA:
         lgamma = prior_module._lgamma
         assert np.array_equal(got[plain], (lgamma(w) - lgamma(w - d))[plain])
 
+    def test_log_gamma_ratio_stirling_tail_does_not_overflow(self):
+        # the x**-3 terms are cubes of 1/w and 1/(w - d), which underflow harmlessly
+        w = np.array([1e103, 1e200, 1e300, 1.7e308])
+        with np.errstate(over="raise", invalid="ignore"):
+            got = prior_module._log_gamma_ratio(w, 0.5, plain=np.zeros(4))
+        assert np.allclose(got, 0.5 * np.log(w), rtol=1e-15)
+
     def test_log_gamma_ratio_takes_a_precomputed_plain_difference(self):
         rng = np.random.default_rng(4)
         d = 1.0 / rng.uniform(0.05, 5.0, 2000)
@@ -302,7 +309,7 @@ class TestWRule:
         with pytest.raises(ValueError):
             WRule(WRule.unit().kind, 3.0)
 
-    @pytest.mark.parametrize("value", [None, "x", "2.0", [1.1], {}])
+    @pytest.mark.parametrize("value", [None, "x", "2.0", [1.1], {}, True, False])
     def test_valued_rule_needs_a_real_number(self, value):
         with pytest.raises(ValueError, match=f"rule 'fixed' needs a positive value, got {re.escape(repr(value))}"):
             WRule("fixed", value)
@@ -567,6 +574,28 @@ class TestPriorSpecJson:
             prior_spec_from_dict(
                 {"beta1": 0.5, "beta2": 2.0, "xbar_R": 1, "R": 0.98, "w_rule": {"kind": "unit"}}
             )
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"beta1": "2"}, 'beta1 must be a number, got "2"'),
+            ({"beta2": True}, "beta2 must be a number, got true"),
+            ({"xbar_R": True}, "xbar_R must be a number, got true"),
+            ({"R": False}, "R must be a number, got false"),
+            ({"R": None}, "R must be a number, got null"),
+            ({"w_rule": {"kind": "fixed", "value": True}}, "rule 'fixed' needs a positive value, got True"),
+        ],
+    )
+    def test_field_that_is_not_a_json_number_is_named(self, change, message):
+        d = {"beta1": 1, "beta2": 3, "xbar_R": 1, "R": 0.98, "w_rule": {"kind": "unit"}, **change}
+        with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$"):
+            prior_spec_from_dict(d)
+
+    def test_json_integers_become_floats(self):
+        rule = {"kind": "const_over_beta", "value": 2}
+        spec = prior_spec_from_dict({"beta1": 1, "beta2": 3, "xbar_R": 2, "R": 0.98, "w_rule": rule})
+        assert spec.interval == BetaInterval(1.0, 3.0) and spec.xbar_R == 2.0
+        assert type(spec.xbar_R) is type(spec.interval.beta1) is float
 
     def test_number_beyond_float_range_rejected(self):
         with pytest.raises(InputValidationError):

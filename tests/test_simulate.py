@@ -339,6 +339,16 @@ class TestRunCellMatchesEstimateLoop:
 
 
 class TestRunMleRow:
+    @pytest.mark.parametrize(
+        "replications,seed,message",
+        [(20.0, 1, "replications must be an integer, got 20.0"), (True, 1, "replications must be an integer"),
+         (0, 1, "replications must be at least 1"), (20, 1.5, "seed must be an integer, got 1.5"),
+         (20, -1, "seed must be a nonnegative integer")],
+    )
+    def test_replications_and_seed_are_checked(self, replications, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_mle_row(1.0, 5, 3, 0.98, replications, seed)
+
     def test_row_shapes_and_identity(self):
         m_x, m_beta, ds_bar = run_mle_row(1.0, 5, 3, 0.98, 200, 3)
         assert m_x.count + m_x.failures == 200
@@ -520,6 +530,40 @@ class TestExperimentConfig:
             ExperimentConfig(true_beta=1.0, n=3, r=3, seed=1, replications=0)
         with pytest.raises(ValueError):
             ExperimentConfig(true_beta=1.0, n=3, r=3, seed=1, prior_cases=("Z",))
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("n", 3.9), ("n", 3.0), ("r", True), ("r", 2.5), ("replications", 2.5), ("replications", "4"),
+         ("seed", 0.5), ("seed", 1e308), ("seed", None)],
+    )
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        fields = {"true_beta": 1.0, "n": 3, "r": 3, "seed": 1, "replications": 4, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            ExperimentConfig(**fields)
+        with pytest.raises(InputValidationError, match=f"^{name} must be an integer, got "):
+            experiment_config_from_dict(fields)
+
+    @pytest.mark.parametrize(
+        "name,value,shown",
+        [("true_beta", True, "true"), ("true_x_R", "10", '"10"'), ("R", None, "null"), ("R", [0.9], r"\[0.9\]")],
+    )
+    def test_real_fields_must_be_json_numbers(self, name, value, shown):
+        d = {"true_beta": 1.0, "n": 3, "r": 3, "seed": 1, name: value}
+        with pytest.raises(InputValidationError, match=f"^{name} must be a number, got {shown}$"):
+            experiment_config_from_dict(d)
+
+    def test_json_integers_become_floats(self):
+        cfg = experiment_config_from_dict({"true_beta": 1, "n": 3, "r": 3, "seed": 1, "true_x_R": 10, "R": 0.98})
+        assert (type(cfg.true_beta), type(cfg.true_x_R)) == (float, float)
+        assert cfg == ExperimentConfig(true_beta=1.0, n=3, r=3, seed=1, true_x_R=10.0)
+
+    def test_numpy_integer_counts_give_the_same_cell(self):
+        plain = ExperimentConfig(true_beta=1.0, n=5, r=3, seed=9, replications=6)
+        numpy = ExperimentConfig(true_beta=1.0, n=np.int64(5), r=np.int32(3), seed=np.uint64(9),
+                                 replications=np.int64(6))
+        case = build_case("IV", 1.0)
+        rule = resolve_w_rule("1.4/beta", case.interval)
+        assert run_cell(numpy, case, rule, 1) == run_cell(plain, case, rule, 1)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -1,6 +1,7 @@
 """Weibull model: pointwise values, inverses, derivatives, sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from weibayes.prior import VirtualSample, posterior_conditional_params, prior_fr
 from weibayes.weibull import (
     ReliableLifeWeibull,
     _inverse_transform,
+    _require_count,
     ShapeScaleWeibull,
     density,
     from_shape_scale,
@@ -234,3 +236,35 @@ class TestValidation:
     @pytest.mark.parametrize("R", [5.5e-309, 1e-320, 5e-324])
     def test_K_at_subnormal_R_where_one_over_R_overflows(self, R):
         assert ReliableLifeWeibull(3.0, 1.2, R).K == -math.log(R) < 745.0
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("value", [2.5, 3.0, 1e308, True, False, np.bool_(True), "3", None, [3]])
+    def test_rejects_what_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
+            _require_count("n", value, None)
+
+    @pytest.mark.parametrize("value", [0, 7, 10**30, np.int64(3), np.uint8(5), np.int32(0)])
+    def test_takes_python_and_numpy_integers(self, value):
+        _require_count("seed", value, 0)
+
+    @pytest.mark.parametrize(
+        "name,value,least,message",
+        [
+            ("seed", -1, 0, "seed must be a nonnegative integer"),
+            ("seed", np.int64(-1), 0, "seed must be a nonnegative integer"),
+            ("replications", 0, 1, "replications must be at least 1"),
+            ("replications", 9999, 10**4, "replications must be at least 10000"),
+        ],
+    )
+    def test_states_the_least_value(self, name, value, least, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _require_count(name, value, least)
+
+    def test_none_leaves_the_range_to_the_caller(self):
+        _require_count("r", -5, None)
+
+    @pytest.mark.parametrize("n", [0, 2.0, True])
+    def test_sample_size_is_a_count(self, n):
+        with pytest.raises(ValueError, match="^n must be "):
+            sample(ReliableLifeWeibull(1.0, 2.0, 0.9), n, np.random.default_rng(1))
