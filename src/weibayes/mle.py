@@ -10,17 +10,23 @@ which is strictly decreasing with a unique root whenever there are at least
 two failures with some spread.  The scale follows as alpha = (S(beta)/r)**(1/beta)
 and the reliable life as x_R = alpha * K**(1/beta).
 
-One core solves rows of (ln x, mean ln x over failures, r): ``fit_many`` passes
-type-II rows, ``fit`` one row of any right-censored sample.  The fixed bracket
-is [1e-6, 1e6]; g is positive at its lower end for every sample of positive
-finite times, so each row is scored once, at the upper end, and because g is
-decreasing a row whose score is not negative there has no finite estimate.  That
-covers a type-II row whose failures coincide: its ln x are all equal, so g(1e6)
-is 1e-6 plus the rounding of its mean ln x.  Other rows start at the log-moment
-estimate pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and take Newton steps in ln beta,
-bisecting when a step leaves the sign bracket or shrinks too slowly, until the
-step is at rounding level.  The sum S(beta_hat) behind the scale comes from the
-last score's denominator.  The core imports nothing beyond numpy.
+One core solves sorted rows of ln x with their mean ln x over failures and r.
+The last column also stands for ``extra`` more items at the row maximum, so they
+add ``extra`` to S(beta) and nothing to the x**beta-weighted sums of ln x: the
+n - r censored items of a type-II row, which ``fit_many`` fits on its r
+failures, and in ``fit`` the censored items tied with a failure at the largest
+time.  On stacks of at least 250 rows, sums over fewer than 8 columns are
+column adds, numpy's in-order row sums without its per-row cost.  The fixed
+bracket is [1e-6, 1e6]; g is positive at its lower end for every sample of
+positive finite times, so each row is scored once, at the upper end, and
+because g is decreasing a row whose score is not negative there has no finite
+estimate.  That covers a type-II row whose failures coincide: its ln x are all
+equal, so g(1e6) is 1e-6 plus the rounding of its mean ln x.  Other rows start
+at the log-moment estimate pi/(sqrt(6)*sd(ln x)) (Menon, 1963) and take Newton
+steps in ln beta, bisecting when a step leaves the sign bracket or shrinks too
+slowly, until the step is at rounding level.  The sum S(beta_hat) behind the
+scale comes from the last score's denominator.  The core imports nothing beyond
+numpy.
 
 Because the distribution of beta_hat/beta does not depend on the true
 parameters, the multiplicative unbiasing factor B with E[B*beta_hat] = beta
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, _open_utf8, type2_log_times
+from .censoring import CENSORED, FAILED, CensoredSample, _open_utf8
 from .errors import InputValidationError, NoFiniteMleError
 from .weibull import _log_inverse, _require_count, _require_positive
 
@@ -70,10 +76,13 @@ _STEP_TOL = 4.0 * np.finfo(float).eps
 # shape values outside this bracket count as no finite estimate
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 1e6
-# fewest calibration rows per thread: with two threads, _fit_rows ran 0.28-0.94x as
-# fast on 500-2,000 rows (per-iteration bookkeeping holds the GIL), 1.09-1.52x on
-# 5,000 and 1.51-1.63x on 10,000
+# fewest calibration rows per thread: two threads ran 0.28-0.94x as fast as one on
+# 500-2,000 rows (per-iteration bookkeeping holds the GIL); on 5,000 (10,000) rows
+# 0.92-1.23x (0.88-1.34x) at 3-6 columns, 1.24-1.79x (0.93-1.69x) at 8-30
 _MIN_BLOCK_ROWS = 5000
+# fewest rows on which _row_sums adds columns: column adds beat a.sum(axis=1) from about
+# 40 rows of 2 columns, 60 of 3, 150-200 of 5 and 250-300 of 7 (2-vCPU Xeon, numpy 2.4)
+_MIN_COLUMN_ADD_ROWS = 250
 
 
 @dataclass(frozen=True)
@@ -100,30 +109,40 @@ class UnbiasingEntry:
     seed: int
 
 
-def _score(betas: np.ndarray, below: np.ndarray, offset: np.ndarray, slope: bool = False, out=None):
-    """Profile score at betas (N,) for rows of ln x minus the row maximum (N, n) and
-    ``offset``, their mean ln x over failures minus it: (g, S), or (g, dg/d(ln beta), S)
-    with ``slope``, where S = sum(exp(beta * below)) per row.  ``out`` is an optional
-    (N, n) work buffer."""
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1), bit for bit, as a new array: numpy adds the columns of a row
+    shorter than 8 in order, as these column adds do on a tall stack without its
+    per-row cost."""
+    if a.shape[0] < _MIN_COLUMN_ADD_ROWS or not 1 < a.shape[1] < 8:
+        return a.sum(axis=1)
+    return sum(a.T[1:], a[:, 0])
+
+
+def _score(betas: np.ndarray, below: np.ndarray, offset: np.ndarray, extra: int, slope=False, out=None):
+    """Profile score at betas (N,) for rows of ln x minus the row maximum (N, k), whose
+    last column, at 0, stands for ``extra`` more items, and ``offset``, their mean ln x
+    over failures minus it: (g, S), or (g, dg/d(ln beta), S) with ``slope``, where
+    S = sum(exp(beta * below)) + extra per row.  ``out`` is an optional (N, k) buffer."""
     e = np.multiply(betas[:, None], below, out=out)
     np.exp(e, out=e)
-    denom = e.sum(axis=1)
+    denom = _row_sums(e) + extra if extra else _row_sums(e)
     e *= below
-    mean = e.sum(axis=1) / denom
+    mean = _row_sums(e) / denom
     g = offset + 1.0 / betas - mean
     if not slope:
         return g, denom
     e *= below
-    var = e.sum(axis=1) / denom - mean * mean
+    var = _row_sums(e) / denom - mean * mean
     return g, -1.0 / betas - betas * var, denom
 
 
-def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float):
-    """The MLE core on rows of ln x (N, n) with their mean ln x over r failures (N,):
-    (beta_hat, ln alpha_hat, ln x_R_hat, g(beta_hat), iterations, has_root).  A
-    row without a root reports the bracket end its score points to."""
+def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float, extra: int = 0):
+    """The MLE core on sorted rows of ln x (N, k), the last column standing for ``extra``
+    more items, with their mean ln x over r failures (N,): (beta_hat, ln alpha_hat,
+    ln x_R_hat, g(beta_hat), iterations, has_root).  A row without a root reports the
+    bracket end its score points to."""
     log_K = math.log(_log_inverse(R))
-    top = log_times.max(axis=1)
+    top = log_times[:, -1]
     below = log_times - top[:, None]
     offset = mean_log_fail - top
     count = below.shape[0]
@@ -133,7 +152,7 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     # g(1e-6) >= 1e6 - 1455 > 0 on every row of positive finite times, and a
     # row with a zero or infinite time scores nan at both ends.  So g(1e-6) > 0
     # and g(1e6) < 0 holds exactly when g(1e6) < 0.
-    g, denom = _score(np.full(count, _BRACKET_HI), below, offset, out=work)
+    g, denom = _score(np.full(count, _BRACKET_HI), below, offset, extra, out=work)
     has_root = g < 0.0
     u_lo, u_hi = math.log(_BRACKET_LO), math.log(_BRACKET_HI)
     u = np.where(g >= 0.0, u_hi, u_lo)
@@ -143,13 +162,16 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     # a step would leave the sign bracket or shrinks by less than half
     rows = np.flatnonzero(has_root)
     x, off = below[rows], offset[rows]
+    # sd(ln x) over all k + extra items: x.std(axis=1), bit for bit, when extra is 0
+    dev = x - (_row_sums(x) / (x.shape[1] + extra))[:, None]
+    sd = np.sqrt((_row_sums(dev * dev) + extra * dev[:, -1] ** 2) / (x.shape[1] + extra))
     with np.errstate(divide="ignore"):
-        at = np.clip(np.log(np.pi / (np.sqrt(6.0) * x.std(axis=1))), u_lo, u_hi)
+        at = np.clip(np.log(np.pi / (np.sqrt(6.0) * sd)), u_lo, u_hi)
     last_step = u_hi - u_lo
     for _ in range(_MAX_ITERATIONS):
         if rows.size == 0:
             break
-        g_at, slope, denom[rows] = _score(np.exp(at), x, off, slope=True, out=work[: rows.size])
+        g_at, slope, denom[rows] = _score(np.exp(at), x, off, extra, slope=True, out=work[: rows.size])
         u[rows], g[rows] = at, g_at
         iterations[rows] += 1
         positive = g_at > 0.0
@@ -169,7 +191,7 @@ def _fit_rows(log_times: np.ndarray, mean_log_fail: np.ndarray, r: int, R: float
     # a row with a root was last scored at its beta_hat; one without a root ends at
     # exp(ln 1e-6) or exp(ln 1e6), a bit off the bracket end, so its S is summed afresh
     ends = ~has_root
-    denom[ends] = np.exp(beta[ends, None] * below[ends]).sum(axis=1)
+    denom[ends] = _row_sums(np.exp(beta[ends, None] * below[ends])) + extra
     log_S = beta * top + np.log(denom)
     log_alpha = (log_S - math.log(r)) / beta
     log_x_R = log_alpha + log_K / beta
@@ -192,15 +214,20 @@ def profile_equation(beta: float, sample: CensoredSample) -> float:
     _validate_admissible(sample)
     st = sample.stats
     top = st.log_times[-1]
-    return float(_score(np.array([beta]), st.log_times[None, :] - top, st.log_P / st.r - top)[0][0])
+    return float(_score(np.array([beta]), st.log_times[None, :] - top, st.log_P / st.r - top, 0)[0][0])
 
 
 def fit(sample: CensoredSample, R: float) -> MleResult:
     """Maximum-likelihood fit of (alpha, beta) and the implied reliable life."""
     _validate_admissible(sample)
     st = sample.stats
+    # censored items tied with a failure at the largest time fold into the last column, as in fit_many
+    top = max(sample.times)
+    tied = [s for t, s in zip(sample.times, sample.status) if t == top]
+    extra = tied.count(CENSORED) if FAILED in tied else 0
+    row = st.log_times[None, : st.n - extra]
     beta_hat, log_alpha, log_x_R, g, iterations, has_root = (
-        v[0].item() for v in _fit_rows(st.log_times[None, :], np.array([st.log_P / st.r]), st.r, R)
+        v[0].item() for v in _fit_rows(row, np.array([st.log_P / st.r]), st.r, R, extra)
     )
     if not has_root:
         raise NoFiniteMleError(
@@ -221,6 +248,7 @@ def fit(sample: CensoredSample, R: float) -> MleResult:
 def fit_many(sorted_times: np.ndarray, r: int, R: float):
     """Vectorized fit on rows of sorted complete samples censored at r.
 
+    A row is fitted on its r failures, the last standing for the n - r censored items.
     Returns (beta_hat, x_R_hat, ok): ok marks rows with a finite, converged
     estimate, and row i equals ``fit`` on ``type2_censor(sorted_times[i], r)``.
     """
@@ -228,8 +256,8 @@ def fit_many(sorted_times: np.ndarray, r: int, R: float):
     n = sorted_times.shape[1]
     if not 2 <= r <= n:
         raise ValueError(f"need 2 <= r <= n = {n}, got r = {r}")
-    log_times = type2_log_times(sorted_times, r)
-    beta, _, log_x_R, g, _, has_root = _fit_rows(log_times, log_times[:, :r].sum(axis=1) / r, r, R)
+    log_times = np.log(sorted_times[:, :r])
+    beta, _, log_x_R, g, _, has_root = _fit_rows(log_times, _row_sums(log_times) / r, r, R, n - r)
     with np.errstate(over="ignore"):
         x_R_hat = np.exp(log_x_R)
     return beta, x_R_hat, has_root & (np.abs(g) <= G_TOL) & np.isfinite(x_R_hat)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ class WRule:
             raise ValueError(f"unknown weight rule kind {self.kind!r}")
         if self.kind in (CONST_OVER_BETA, FIXED):
             real = isinstance(self.value, numbers.Real) and not isinstance(self.value, bool)
-            if not (real and 0.0 < self.value < math.inf):
+            if not (real and 0.0 < self.value <= sys.float_info.max):
                 raise ValueError(f"rule {self.kind!r} needs a positive value, got {self.value!r}")
         elif self.value is not None:
             raise ValueError(f"rule {self.kind!r} takes no value")
@@ -340,12 +341,12 @@ def prior_from_virtual_sample(v: VirtualSample, R: float, beta: float) -> tuple[
 
 
 def read_json(path):
-    """Parse a JSON file; malformed JSON or text that is not UTF-8 raises
-    InputValidationError naming the file."""
+    """Parse a JSON file; malformed JSON, an integer longer than Python parses or
+    text that is not UTF-8 raises InputValidationError naming the file."""
     try:
         with _open_utf8(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or int()'s digit limit
         raise InputValidationError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -362,11 +363,14 @@ def check_fields(d, what: str, required: set, optional: set = frozenset()) -> No
 
 
 def json_number(d, name: str) -> float:
-    """d[name] as a float; anything but a JSON number raises InputValidationError naming it."""
+    """d[name] as a float; anything but a JSON number a float holds raises InputValidationError naming it."""
     value = d[name]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputValidationError(f"{name} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputValidationError(f"{name} is too large for a float") from None
 
 
 def prior_spec_from_dict(d) -> PriorSpec:

@@ -677,6 +677,24 @@ class TestExitCodeTotality:
             assert 0 <= int(failures) <= replications
             assert math.isnan(float(rq_x)) == math.isnan(float(rq_beta)) == (int(failures) == replications)
 
+    @pytest.mark.parametrize(
+        "change,named",
+        [({"beta2": 3 * 10**400}, "beta2"), ({"w_rule": {"kind": "fixed", "value": 10**400}}, "rule 'fixed'"),
+         ({"xbar_R": 10**400}, "xbar_R")],
+    )
+    def test_prior_number_too_large_for_a_float_is_named(self, files, change, named):
+        root, _, sample = files
+        path = root / "huge_prior.json"
+        path.write_text(json.dumps({**PRIOR_CASE_I, **change}), encoding="utf-8")
+        rc, _, err = _run(["estimate", "--sample", sample, "--prior", str(path)])
+        assert rc == 2 and err.startswith(f"error: {named} ") and err.count("\n") == 1, err
+
+    def test_config_number_too_large_for_a_float_is_named(self, files):
+        root, _, _ = files
+        path = root / "huge_config.json"
+        path.write_text(json.dumps({**_CONFIG, "true_x_R": 10**400}), encoding="utf-8")
+        assert _run(["simulate", "--config", str(path)])[::2] == (2, "error: true_x_R is too large for a float\n")
+
     @_SETTINGS
     @given(_RELIABILITY | _ODD)
     def test_simulate_config_reliability(self, files, R):

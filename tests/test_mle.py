@@ -217,6 +217,25 @@ def _oracle_designs(count=300, seed=4321):
         yield times, r, censored
 
 
+def _tied_designs(count=300, seed=8765):
+    """Right-censored samples, n = 5..40, that are not type II (an item below the
+    largest time is censored) and whose censored items tie with the largest time:
+    even-numbered ones with a failure at that time, odd-numbered ones without."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(5, 41))
+        shape = float(np.exp(rng.uniform(math.log(0.3), math.log(8.0))))
+        times = np.sort(sample(ReliableLifeWeibull(float(np.exp(rng.uniform(-3.0, 3.0))), shape, 0.98), n, rng))
+        tied = int(rng.integers(2, n - 2))
+        times[n - tied :] = times[-1]
+        status = np.where(rng.random(n) < 0.7, F, C)
+        status[:2], status[2] = F, C
+        status[n - tied :] = C
+        if i % 2 == 0:
+            status[int(rng.integers(n - tied, n))] = F
+        yield CensoredSample(tuple(times.tolist()), tuple(status.tolist()))
+
+
 class TestOracleBattery:
     # brentq's own xtol is 1e-13 absolute, so 1e-11 relative is what it can check
     def test_type2_rows_match_brentq_and_fit(self):
@@ -232,6 +251,15 @@ class TestOracleBattery:
 
     def test_right_censored_samples_match_brentq(self):
         for _, _, s in _oracle_designs():
+            got = fit(s, 0.98)
+            assert got.converged
+            assert math.isclose(
+                got.beta_hat, shape_mle_brentq(s.times, s.failure_times), rel_tol=1e-11
+            )
+
+    def test_censored_items_tied_with_the_largest_time_match_brentq(self):
+        # fit folds such items into the last column when a failure sits there too
+        for s in _tied_designs():
             got = fit(s, 0.98)
             assert got.converged
             assert math.isclose(
@@ -371,6 +399,32 @@ class TestProperties:
                 continue
             assert (single.beta_hat, single.x_R_hat) == (beta_hat[i], x_R_hat[i])
             assert ok[i] == single.converged
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(1, 1000), st.booleans()), min_size=2, max_size=10),
+           st.floats(-6.0, 6.0))
+    def test_scaling_the_times_keeps_beta_hat_and_scales_x_R_hat(self, items, log10_c):
+        # times on a 0.1 grid up to 100, so ties are common; c = 10**log10_c
+        c = 10.0**log10_c
+        status = tuple(F if failed else C for _, failed in items)
+        base = CensoredSample(tuple(0.1 * k for k, _ in items), status)
+        scaled = CensoredSample(tuple(c * t for t in base.times), status)
+        try:
+            want = fit(base, 0.9)
+        except NoFiniteMleError:
+            with pytest.raises(NoFiniteMleError):
+                fit(scaled, 0.9)
+            return
+        got = fit(scaled, 0.9)
+        # Each ln(c*x) is rounded to within 2**-53 * |ln(c*x)|, about 2e-15 here.
+        # beta_hat solves an equation in the differences of ln x scaled by beta_hat,
+        # so its relative error is about beta_hat times that; ln x_R_hat carries a
+        # term of size up to about 5/beta_hat that moves with it.  Hence a bound in
+        # max(beta_hat, 1/beta_hat); the largest ratio over 60,000 random samples of
+        # this kind was 4.2e-15 * max(1, beta_hat) for beta_hat and 1.2e-14 for x_R_hat.
+        tol = 5e-14 * max(want.beta_hat, 1.0 / want.beta_hat)
+        assert math.isclose(got.beta_hat, want.beta_hat, rel_tol=tol)
+        assert math.isclose(got.x_R_hat, c * want.x_R_hat, rel_tol=tol)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.floats(_TINIEST, sys.float_info.max), st.booleans()), max_size=38))

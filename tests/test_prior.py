@@ -4,6 +4,7 @@ conjugate update, virtual-sample equivalence, and the mean identities."""
 import json
 import math
 import re
+import sys
 import warnings
 
 import mpmath as mp
@@ -584,6 +585,10 @@ class TestPriorSpecJson:
             ({"R": False}, "R must be a number, got false"),
             ({"R": None}, "R must be a number, got null"),
             ({"w_rule": {"kind": "fixed", "value": True}}, "rule 'fixed' needs a positive value, got True"),
+            ({"beta2": 3 * 10**400}, "beta2 is too large for a float"),
+            ({"xbar_R": -(10**400)}, "xbar_R is too large for a float"),
+            pytest.param({"w_rule": {"kind": "fixed", "value": 10**400}},
+                         f"rule 'fixed' needs a positive value, got {10**400}", id="fixed-value-1e400"),
         ],
     )
     def test_field_that_is_not_a_json_number_is_named(self, change, message):
@@ -607,4 +612,12 @@ class TestPriorSpecJson:
         path = tmp_path / "prior.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InputValidationError):
+            load_prior_spec(path)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    def test_integer_too_long_to_parse_names_the_file(self, tmp_path):
+        # Python refuses to parse an integer of more than 4,300 digits by default
+        path = tmp_path / "prior.json"
+        path.write_text('{"beta1": 1, "beta2": 3' + "0" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(InputValidationError, match=f"^{re.escape(str(path))}: invalid JSON"):
             load_prior_spec(path)
